@@ -7,6 +7,14 @@ sequential Monte Carlo engine plus discrepancy-based schedule diagnostics.
 Everything is verifiable against closed-form oracles.
 """
 
+import os as _os
+
+# FMTT_THREADS=n caps the BLAS pools, which are sized when numpy is first
+# imported, so it must be applied before the imports below.
+if _os.environ.get("FMTT_THREADS"):
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        _os.environ.setdefault(_var, _os.environ["FMTT_THREADS"])
+
 from .config import ExperimentConfig
 from .diagnostics import (BarrierProfile, DiscrepancyTrace, RefinedSchedule,
                           incremental_discrepancy,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -24,13 +23,6 @@ from .errors import ConfigError, DiagnosticsUndefinedError, FmttError
 from .oracles import gaussian_tilt_closed_form, snis_tilted_expectation
 from .smc import RunResult, run, weighted_expectation
 from .verify import SUITES, run_suites
-
-
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("FMTT_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
 
 
 def _write_trace_csv(path: Path, result: RunResult) -> None:
@@ -253,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

@@ -67,7 +67,7 @@ class ExperimentConfig:
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a mapping")
         _check_keys(raw, {"seed", "problem", "schedule", "run", "reward",
-                          "diagnostics", "output"}, "config root")
+                          "diagnostics"}, "config root")
 
         seed = raw.get("seed", 0)
         if seed_override is not None:
@@ -133,9 +133,6 @@ class ExperimentConfig:
 
         diag = raw.get("diagnostics", {})
         _check_keys(diag, {"enabled", "refinement_rounds", "n_runs"}, "diagnostics")
-
-        out = raw.get("output", {})
-        _check_keys(out, {"formats"}, "output")
 
         cfg = cls(base=base, target=target, schedule=schedule, run=run,
                   reward_kind=kind, reward_params=dict(params), reward_mode=mode,

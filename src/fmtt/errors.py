@@ -25,7 +25,8 @@ class SchemeCompatibilityError(FmttError):
 
 
 class DegenerateEnsembleError(FmttError):
-    """All particle log-weights are -inf; no finite weight remains."""
+    """No usable weight remains: every log-weight is -inf, or some are NaN
+    or +inf."""
 
 
 class DiagnosticsUndefinedError(FmttError):

@@ -83,9 +83,9 @@ class FlowMapEvaluator:
         def fun(tau, y):
             pos = y[:nx].reshape(n, d)
             jac = y[nx:].reshape(n, d, d)
-            vel = self.path.dynamics(tau, pos).velocity
-            dvel = self.path.velocity_jacobian(tau, pos)
-            return np.concatenate([vel.ravel(), np.einsum("nij,njk->nik", dvel, jac).ravel()])
+            dyn = self.path.dynamics(tau, pos, jacobian="velocity")
+            return np.concatenate([dyn.velocity.ravel(),
+                                   np.einsum("nij,njk->nik", dyn.jacobian, jac).ravel()])
 
         y0 = np.concatenate([x2.ravel(), np.broadcast_to(np.eye(d), (n, d, d)).ravel()])
         y = self._integrate(fun, y0, s, t)
@@ -130,16 +130,16 @@ class FlowMapEvaluator:
         taus = np.linspace(s, t, k + 1)
         for a, b in zip(taus[:-1], taus[1:]):
             h = b - a
-            v0 = self.path.dynamics(a, y).velocity
-            g0 = self.path.velocity_jacobian(a, y)
+            dyn0 = self.path.dynamics(a, y, jacobian="velocity")
+            v0, g0 = dyn0.velocity, dyn0.jacobian
             if scheme == "euler":
                 y = y + h * v0
                 J = J + h * np.einsum("nij,njk->nik", g0, J)
             elif scheme == "heun":
                 pred = y + h * v0
                 Jp = J + h * np.einsum("nij,njk->nik", g0, J)
-                v1 = self.path.dynamics(b, pred).velocity
-                g1 = self.path.velocity_jacobian(b, pred)
+                dyn1 = self.path.dynamics(b, pred, jacobian="velocity")
+                v1, g1 = dyn1.velocity, dyn1.jacobian
                 y = y + 0.5 * h * (v0 + v1)
                 J = J + 0.5 * h * (np.einsum("nij,njk->nik", g0, J)
                                    + np.einsum("nij,njk->nik", g1, Jp))

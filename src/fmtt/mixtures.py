@@ -2,10 +2,12 @@
 
 With independent coupling of a base mixture (components m_i, C_i, weights
 w_i) and a target mixture (n_j, S_j, u_j), the interpolated density at time
-t is itself a mixture over all pairs (i,j), with weight w_i*u_j, mean
-alpha*m_i + beta*n_j and covariance alpha^2*C_i + beta^2*S_j.  Velocity,
-score, denoiser and log-density all follow from per-pair Gaussian
-conditioning, weighted by posterior responsibilities computed in log-space.
+t is itself a mixture over all P pairs (i,j), with weight w_i*u_j, mean
+alpha*m_i + beta*n_j and covariance alpha^2*C_i + beta^2*S_j.  One batched
+kernel serves both classes: the pair covariances depend on t only, so one
+batched Cholesky factors all of them, and one pass over the rows gives
+log-responsibilities and the solves Sigma^{-1}(x - mu), from which velocity,
+score, denoiser, log-density and their Jacobians all follow.
 """
 
 from __future__ import annotations
@@ -15,12 +17,35 @@ from functools import cached_property
 
 import numpy as np
 import yaml
-from scipy.linalg import cholesky, solve_triangular
-from scipy.special import logsumexp
 
 from .schedule import InterpolantSchedule
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+
+
+def _factor(covs: np.ndarray):
+    """Cholesky factors, their inverses and the log-determinants of (k, d, d)
+    SPD matrices; raises LinAlgError if one is not positive definite."""
+    chols = np.linalg.cholesky(covs)
+    logdets = 2.0 * np.log(np.diagonal(chols, axis1=-2, axis2=-1)).sum(axis=-1)
+    return chols, np.linalg.inv(chols), logdets
+
+
+def _kernel(x: np.ndarray, log_w: np.ndarray, means: np.ndarray,
+            inv_chols: np.ndarray, logdets: np.ndarray):
+    """Posterior of rows x (n, d) under k weighted Gaussians given by their
+    inverse Cholesky factors (k, d, d): log-responsibilities (k, n),
+    log-density (n,) and whitened residuals L^{-1}(x - mu) (k, n, d).
+
+    Arrays are component-first, so each product is one matmul per component.
+    """
+    half = (x - means[:, None, :]) @ inv_chols.swapaxes(1, 2)
+    quad = np.einsum("kni,kni->kn", half, half)
+    logjoint = log_w[:, None] - 0.5 * (x.shape[1] * _LOG_2PI + logdets[:, None] + quad)
+    m = np.max(logjoint, axis=0)
+    m[~np.isfinite(m)] = 0.0
+    log_density = np.log(np.sum(np.exp(logjoint - m), axis=0)) + m
+    return logjoint - log_density, log_density, half
 
 
 @dataclass(frozen=True)
@@ -47,10 +72,16 @@ class GaussianMixture:
             raise ValueError("mixture weights must be strictly positive")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError(f"mixture weights sum to {w.sum()}, not 1")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("covariances must be finite")
         if not np.allclose(c, np.swapaxes(c, -1, -2)):
             raise ValueError("covariances must be symmetric")
-        # Cholesky both validates positive definiteness and feeds the cache.
-        object.__setattr__(self, "_chols", np.array([cholesky(ci, lower=True) for ci in c]))
+        # The Cholesky factorization also validates positive definiteness.
+        chols, inv_chols, logdets = _factor(c)
+        object.__setattr__(self, "_chols", chols)
+        object.__setattr__(self, "_inv_chols", inv_chols)
+        object.__setattr__(self, "_logdets", logdets)
+        object.__setattr__(self, "_log_w", np.log(w))
 
     @property
     def n_components(self) -> int:
@@ -74,16 +105,15 @@ class GaussianMixture:
         out = self.means[idx] + np.einsum("nij,nj->ni", self._chols[idx], z)
         return out
 
+    def _posterior(self, x: np.ndarray):
+        return _kernel(x, self._log_w, self.means, self._inv_chols, self._logdets)
+
     def log_density(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        lp = _component_logpdfs(x, self.means, self._chols)
-        return logsumexp(np.log(self.weights)[None, :] + lp, axis=1)
+        return self._posterior(np.atleast_2d(np.asarray(x, dtype=float)))[1]
 
     def log_responsibilities(self, x: np.ndarray) -> np.ndarray:
         """log p(component | x), shape (n, k)."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        lp = np.log(self.weights)[None, :] + _component_logpdfs(x, self.means, self._chols)
-        return lp - logsumexp(lp, axis=1, keepdims=True)
+        return self._posterior(np.atleast_2d(np.asarray(x, dtype=float)))[0].T
 
     def to_dict(self) -> dict:
         return {
@@ -119,29 +149,19 @@ def standard_normal(dim: int = 1) -> GaussianMixture:
     return GaussianMixture(np.ones(1), np.zeros((1, dim)), np.eye(dim)[None])
 
 
-def _component_logpdfs(x: np.ndarray, means: np.ndarray, chols: np.ndarray) -> np.ndarray:
-    """Per-component Gaussian log-densities, shape (n, k)."""
-    n, d = x.shape
-    k = means.shape[0]
-    out = np.empty((n, k))
-    for p in range(k):
-        L = chols[p]
-        diff = x - means[p]
-        sol = solve_triangular(L, diff.T, lower=True)
-        quad = np.sum(sol**2, axis=0)
-        logdet = 2.0 * np.sum(np.log(np.diag(L)))
-        out[:, p] = -0.5 * (d * _LOG_2PI + logdet + quad)
-    return out
-
-
 @dataclass(frozen=True)
 class DynamicsAt:
-    """Velocity, score, denoiser and log-density at one (t, x) batch."""
+    """Velocity, score, denoiser and log-density at one (t, x) batch, plus
+    the velocity or denoiser Jacobian (n, d, d) when one was requested."""
 
     velocity: np.ndarray
     score: np.ndarray
     denoiser: np.ndarray
     log_density: np.ndarray
+    jacobian: np.ndarray | None = None
+
+
+_JACOBIANS = (None, "velocity", "denoiser")
 
 
 @dataclass(frozen=True)
@@ -182,111 +202,69 @@ class MixturePath:
         covs = a * a * p["C"] + b * b * p["S"]
         return np.exp(p["log_w"]), means, covs
 
-    def _component_state(self, t: float, x: np.ndarray):
-        """Responsibilities and per-pair conditioning terms at (t, x).
-
-        Returns a dict with responsibilities r (n,P), solves u = Sigma^{-1}(x-mu)
-        (n,P,d), log-density (n,), and the schedule scalars used.
-        """
-        a, b = self.schedule.alpha(t), self.schedule.beta(t)
-        p = self._pairs
-        means = a * p["m"] + b * p["n"]
-        covs = a * a * p["C"] + b * b * p["S"]
-        n_pts, d = x.shape
-        P = means.shape[0]
-        u = np.empty((n_pts, P, d))
-        logpdf = np.empty((n_pts, P))
-        for q in range(P):
-            L = cholesky(covs[q], lower=True)
-            diff = x - means[q]
-            half = solve_triangular(L, diff.T, lower=True)
-            u[:, q, :] = solve_triangular(L.T, half, lower=False).T
-            logdet = 2.0 * np.sum(np.log(np.diag(L)))
-            logpdf[:, q] = -0.5 * (d * _LOG_2PI + logdet + np.sum(half**2, axis=0))
-        logjoint = p["log_w"][None, :] + logpdf
-        logden = logsumexp(logjoint, axis=1)
-        resp = np.exp(logjoint - logden[:, None])
-        return {"alpha": a, "beta": b, "means": means, "covs": covs,
-                "u": u, "resp": resp, "log_density": logden}
-
-    def dynamics(self, t: float, x: np.ndarray) -> DynamicsAt:
-        """Closed-form velocity, score, denoiser, log-density at (t, x)."""
-        x = np.asarray(x, dtype=float)
-        squeeze = x.ndim == 1
-        x2 = np.atleast_2d(x)
-        if not np.all(np.isfinite(x2)):
+    def _pass(self, t: float, x: np.ndarray):
+        """The kernel pass at (t, x) for rows x (n, d), pairs first: schedule
+        scalars (a, b, a_dot, b_dot), responsibilities r (P,n), solves
+        u = Sigma^{-1}(x - mu) (P,n,d), log-density (n,) and the inverse
+        Cholesky factors (P,d,d) of the pair covariances."""
+        if not np.isfinite(x).all():
             raise ValueError("non-finite state")
-        st = self._component_state(t, x2)
-        a, b = st["alpha"], st["beta"]
-        a_dot, b_dot = self.schedule.alpha_dot(t), self.schedule.beta_dot(t)
+        s, p = self.schedule, self._pairs
+        a, b, a_dot, b_dot = s.alpha(t), s.beta(t), s.alpha_dot(t), s.beta_dot(t)
+        _, inv_l, logdets = _factor(a * a * p["C"] + b * b * p["S"])
+        log_r, log_density, half = _kernel(x, p["log_w"], a * p["m"] + b * p["n"],
+                                           inv_l, logdets)
+        return (a, b, a_dot, b_dot), np.exp(log_r), half @ inv_l, log_density, inv_l
+
+    def _at(self, t: float, x: np.ndarray, jacobian: str | None = None) -> DynamicsAt:
+        """`dynamics`, which the Jacobian views call instead, so that each public
+        call is one kernel pass."""
+        if jacobian not in _JACOBIANS:
+            raise ValueError(f"unknown jacobian {jacobian!r}; expected one of {_JACOBIANS}")
+        x = np.asarray(x, dtype=float)
+        (a, b, a_dot, b_dot), r, u, log_density, inv_l = self._pass(t, np.atleast_2d(x))
         p = self._pairs
-        # Conditional means per pair: E[x1|x] = n + b*S u, E[x0|x] = m + a*C u.
-        Su = np.einsum("pij,npj->npi", p["S"], st["u"])
-        Cu = np.einsum("pij,npj->npi", p["C"], st["u"])
-        e1 = p["n"][None] + b * Su
-        e0 = p["m"][None] + a * Cu
-        r = st["resp"]
-        velocity = np.einsum("np,npi->ni", r, a_dot * e0 + b_dot * e1)
-        score = -np.einsum("np,npi->ni", r, st["u"])
-        denoiser = np.einsum("np,npi->ni", r, e1)
-        if squeeze:
-            return DynamicsAt(velocity[0], score[0], denoiser[0], st["log_density"][0])
-        return DynamicsAt(velocity, score, denoiser, st["log_density"])
+        # Per-pair velocity v_p = (a_dot*m + b_dot*n) + A_p u_p with
+        # A_p = a_dot*a*C + b_dot*b*S, and denoiser e1_p = n + b*S u_p.
+        lin = {"velocity": a_dot * a * p["C"] + b_dot * b * p["S"], "denoiser": b * p["S"]}
+        v = (a_dot * p["m"] + b_dot * p["n"])[:, None, :] + u @ lin["velocity"].swapaxes(1, 2)
+        e1 = p["n"][:, None, :] + u @ lin["denoiser"].swapaxes(1, 2)
+        score = -np.einsum("pn,pni->ni", r, u)
+        jac = None
+        if jacobian is not None:
+            # grad sum_p r_p f_p = sum_p r_p A_p Sigma_p^{-1} + sum_p r_p f_p g_p^T,
+            # where g_p = grad log r_p = -u_p - score.
+            P, n, d = u.shape
+            f = v if jacobian == "velocity" else e1
+            grads = lin[jacobian] @ inv_l.swapaxes(1, 2) @ inv_l
+            jac = ((r.T @ grads.reshape(P, d * d)).reshape(n, d, d)
+                   + (r[:, :, None] * f).transpose(1, 2, 0) @ (-u - score).transpose(1, 0, 2))
+        out = (np.einsum("pn,pni->ni", r, v), score, np.einsum("pn,pni->ni", r, e1),
+               log_density, jac)
+        if x.ndim == 1:
+            out = tuple(None if o is None else o[0] for o in out)
+        return DynamicsAt(*out)
+
+    def dynamics(self, t: float, x: np.ndarray, jacobian: str | None = None) -> DynamicsAt:
+        """Closed-form velocity, score, denoiser, log-density at (t, x).
+
+        ``jacobian`` ("velocity" or "denoiser") adds that field's spatial
+        Jacobian, computed from the same responsibilities.
+        """
+        return self._at(t, x, jacobian)
 
     def conditional_means(self, t: float, x: np.ndarray):
         """Posterior-averaged E[x0 | I_t=x] and E[x1 | I_t=x]."""
-        x2 = np.atleast_2d(np.asarray(x, dtype=float))
-        st = self._component_state(t, x2)
-        a, b = st["alpha"], st["beta"]
+        (a, b, _, _), r, u, _, _ = self._pass(t, np.atleast_2d(np.asarray(x, dtype=float)))
         p = self._pairs
-        e1 = p["n"][None] + b * np.einsum("pij,npj->npi", p["S"], st["u"])
-        e0 = p["m"][None] + a * np.einsum("pij,npj->npi", p["C"], st["u"])
-        r = st["resp"]
-        return np.einsum("np,npi->ni", r, e0), np.einsum("np,npi->ni", r, e1)
+        e1 = p["n"][:, None, :] + b * (u @ p["S"].swapaxes(1, 2))
+        e0 = p["m"][:, None, :] + a * (u @ p["C"].swapaxes(1, 2))
+        return np.einsum("pn,pni->ni", r, e0), np.einsum("pn,pni->ni", r, e1)
 
     def velocity_jacobian(self, t: float, x: np.ndarray) -> np.ndarray:
         """Analytic spatial Jacobian of the velocity field, shape (n, d, d)."""
-        x2 = np.atleast_2d(np.asarray(x, dtype=float))
-        st = self._component_state(t, x2)
-        a, b = st["alpha"], st["beta"]
-        a_dot, b_dot = self.schedule.alpha_dot(t), self.schedule.beta_dot(t)
-        p = self._pairs
-        n_pts, d = x2.shape
-        P = st["means"].shape[0]
-        covs = st["covs"]
-        r, u = st["resp"], st["u"]
-        # v_p(x) = (a_dot*m + b_dot*n) + M_p (x - mu_p),  M_p = (a_dot*a*C + b_dot*b*S) Sigma^{-1}
-        M = np.empty((P, d, d))
-        for q in range(P):
-            num = a_dot * a * p["C"][q] + b_dot * b * p["S"][q]
-            M[q] = np.linalg.solve(covs[q].T, num.T).T
-        Su = np.einsum("pij,npj->npi", p["S"], u)
-        Cu = np.einsum("pij,npj->npi", p["C"], u)
-        v = (a_dot * (p["m"][None] + a * Cu) + b_dot * (p["n"][None] + b * Su))
-        score = -np.einsum("np,npi->ni", r, u)
-        # grad log resp_p = -u_p - score
-        g = -u - score[:, None, :]
-        jac = np.einsum("np,pij->nij", r, M) + np.einsum("np,npi,npj->nij", r, v, g)
-        if np.asarray(x).ndim == 1:
-            return jac[0]
-        return jac
+        return self._at(t, x, "velocity").jacobian
 
     def denoiser_jacobian(self, t: float, x: np.ndarray) -> np.ndarray:
         """Analytic spatial Jacobian of the denoiser E[x1|I_t=x], (n, d, d)."""
-        x2 = np.atleast_2d(np.asarray(x, dtype=float))
-        st = self._component_state(t, x2)
-        b = st["beta"]
-        p = self._pairs
-        n_pts, d = x2.shape
-        P = st["means"].shape[0]
-        r, u = st["resp"], st["u"]
-        BS = np.empty((P, d, d))
-        for q in range(P):
-            BS[q] = np.linalg.solve(st["covs"][q].T, (b * p["S"][q]).T).T
-        e1 = p["n"][None] + b * np.einsum("pij,npj->npi", p["S"], u)
-        score = -np.einsum("np,npi->ni", r, u)
-        g = -u - score[:, None, :]
-        jac = np.einsum("np,pij->nij", r, BS) + np.einsum("np,npi,npj->nij", r, e1, g)
-        if np.asarray(x).ndim == 1:
-            return jac[0]
-        return jac
+        return self._at(t, x, "denoiser").jacobian

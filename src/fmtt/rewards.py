@@ -78,17 +78,10 @@ class LogResponsibilityReward(Reward):
         return self.scale * self.mixture.log_responsibilities(x)[:, self.component]
 
     def grad(self, x):
-        x2 = np.atleast_2d(x)
-        resp = np.exp(self.mixture.log_responsibilities(x2))
-        k = self.mixture.n_components
-        u = np.empty((x2.shape[0], k, x2.shape[1]))
-        for q in range(k):
-            diff = x2 - self.mixture.means[q]
-            u[:, q, :] = np.linalg.solve(
-                self.mixture.covariances[q], diff.T
-            ).T
+        log_resp, _, half = self.mixture._posterior(np.atleast_2d(np.asarray(x, dtype=float)))
+        u = half @ self.mixture._inv_chols  # u_j = C_j^{-1}(x - m_j) = L_j^{-T} half_j
         # grad log p(c|x) = -u_c + sum_j p(j|x) u_j
-        g = -u[:, self.component, :] + np.einsum("nk,nki->ni", resp, u)
+        g = -u[self.component] + np.einsum("kn,kni->ni", np.exp(log_resp), u)
         return self.scale * g
 
 
@@ -181,8 +174,8 @@ class TimeDependentReward:
         if self.mode == "denoiser":
             if t == 1.0:
                 return self.base.value(x2), self.base.grad(x2)
-            end = self.path.dynamics(t, x2).denoiser
-            jac = self.path.denoiser_jacobian(t, x2)
+            dyn = self.path.dynamics(t, x2, jacobian="denoiser")
+            end, jac = dyn.denoiser, dyn.jacobian
         elif self.mode == "flowmap_exact":
             res = self.flow.flow_map_jacobian(t, 1.0, x2)
             end, jac = np.atleast_2d(res.endpoint), res.jacobian

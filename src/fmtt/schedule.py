@@ -89,19 +89,23 @@ class InterpolantSchedule:
             )
         return a * (self.beta_dot(t) * a / denom - self.alpha_dot(t))
 
+    def checked_epsilon(self, t: float) -> float:
+        """epsilon(t), raising ValueError where it is negative."""
+        eps = self.epsilon(t)
+        if eps < 0:
+            raise ValueError(f"epsilon({t}) = {eps} < 0")
+        return eps
+
     def at(self, t: float) -> ScheduleValues:
         """Evaluate every schedule scalar at time t in [0,1]."""
         if not 0.0 <= t <= 1.0:
             raise ValueError(f"t={t} outside [0,1]")
-        eps = self.epsilon(t)
-        if eps < 0:
-            raise ValueError(f"epsilon({t}) = {eps} < 0")
         return ScheduleValues(
             alpha=self.alpha(t),
             beta=self.beta(t),
             alpha_dot=self.alpha_dot(t),
             beta_dot=self.beta_dot(t),
-            epsilon=eps,
+            epsilon=self.checked_epsilon(t),
             eta=self.eta(t),
         )
 

@@ -47,22 +47,29 @@ class ParticleEnsemble:
         return self.positions.shape[0]
 
 
-def ess(logweights: np.ndarray) -> float:
-    """Effective sample size (sum w)^2 / sum w^2, computed in log-space."""
+def _shifted_weights(logweights: np.ndarray) -> np.ndarray:
+    """exp(a - max a); raises DegenerateEnsembleError naming the particles
+    whose log-weight is NaN or +inf, or when every log-weight is -inf."""
     a = np.asarray(logweights, dtype=float)
     m = np.max(a)
     if not np.isfinite(m):
+        bad = np.flatnonzero(np.isnan(a) | (a == np.inf))
+        if bad.size:
+            raise DegenerateEnsembleError(
+                f"{bad.size} of {a.size} log-weights are NaN or +inf "
+                f"(first at particles {bad[:5].tolist()})")
         raise DegenerateEnsembleError("no finite log-weight in the ensemble")
-    w = np.exp(a - m)
+    return np.exp(a - m)
+
+
+def ess(logweights: np.ndarray) -> float:
+    """Effective sample size (sum w)^2 / sum w^2, computed in log-space."""
+    w = _shifted_weights(logweights)
     return float(w.sum() ** 2 / np.sum(w**2))
 
 
 def _normalized_weights(logweights: np.ndarray) -> np.ndarray:
-    a = np.asarray(logweights, dtype=float)
-    m = np.max(a)
-    if not np.isfinite(m):
-        raise DegenerateEnsembleError("no finite log-weight in the ensemble")
-    w = np.exp(a - m)
+    w = _shifted_weights(logweights)
     return w / w.sum()
 
 
@@ -212,10 +219,12 @@ def z_smc(result: RunResult, k: int | None = None) -> float:
 def run(cfg: RunConfig, path: MixturePath, rt: TimeDependentReward) -> RunResult:
     """Execute the full propagate / reweight / resample-or-select loop."""
     cfg.validate(rt)
+    ts = cfg.times()
+    for t in ts:
+        path.schedule.checked_epsilon(t)
     if rt.is_flowmap() and not isinstance(rt.flow, MemoizedFlowMap):
         rt = TimeDependentReward(rt.base, rt.mode, rt.path,
                                  MemoizedFlowMap(rt.flow), rt.k, rt.k_scheme)
-    ts = cfg.times()
     chi = DriftMultiplier(cfg.chi)
     n, c = cfg.n_particles, cfg.clones
     total = n * c

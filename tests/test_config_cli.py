@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,8 @@ import yaml
 
 from fmtt import ConfigError, ExperimentConfig
 from fmtt.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 FAST_SAMPLE = """
 seed: 5
@@ -83,6 +89,33 @@ def test_unknown_keys_rejected_at_every_level():
         mutate(raw)
         with pytest.raises(ConfigError):
             ExperimentConfig.from_yaml(yaml.safe_dump(raw))
+
+
+def test_unread_output_block_rejected():
+    raw = yaml.safe_load(FAST_SAMPLE)
+    raw["output"] = {"formats": ["csv"]}
+    with pytest.raises(ConfigError, match="output"):
+        ExperimentConfig.from_yaml(yaml.safe_dump(raw))
+
+
+def test_thread_cap_is_set_before_numpy_is_imported():
+    # Record OPENBLAS_NUM_THREADS at the moment numpy is first imported.
+    code = ("import builtins, os\n"
+            "seen, real = [], builtins.__import__\n"
+            "def hook(name, *args, **kwargs):\n"
+            "    if name == 'numpy' and not seen:\n"
+            "        seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+            "    return real(name, *args, **kwargs)\n"
+            "builtins.__import__ = hook\n"
+            "import fmtt\n"
+            "print(seen[0], os.environ['OPENBLAS_NUM_THREADS'])\n")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["FMTT_THREADS"] = "1"
+    env["PYTHONPATH"] = os.pathsep.join(p for p in [str(SRC), env.get("PYTHONPATH")] if p)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.split() == ["1", "1"]
 
 
 def test_invalid_values_rejected():

@@ -171,3 +171,120 @@ def test_continuity_equation_residual():
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         MixturePath(standard_normal(1), standard_normal(2))
+
+
+def _random_spd(rng, k, d):
+    a = rng.normal(size=(k, d, d))
+    return a @ np.swapaxes(a, 1, 2) / d + 0.3 * np.eye(d)
+
+
+def _random_path(kb, kt, d, seed):
+    """Full, mutually non-commuting covariances on both sides."""
+    rng = np.random.default_rng(seed)
+    base = GaussianMixture(rng.dirichlet(np.ones(kb) * 3), rng.normal(size=(kb, d)),
+                           _random_spd(rng, kb, d))
+    target = GaussianMixture(rng.dirichlet(np.ones(kt) * 3), 2 * rng.normal(size=(kt, d)),
+                             _random_spd(rng, kt, d))
+    x = np.concatenate([rng.normal(size=(12, d)) * 1.5,
+                        rng.normal(size=(4, d)) * 25.0])  # far-tail rows
+    return MixturePath(base, target), x
+
+
+def _per_pair_reference(path, t, x):
+    """The per-pair loop the batched kernel replaced, one np.linalg.solve per
+    pair: velocity, score, denoiser, log-density and both Jacobians."""
+    from scipy.special import logsumexp
+
+    s = path.schedule
+    a, b, a_dot, b_dot = s.alpha(t), s.beta(t), s.alpha_dot(t), s.beta_dot(t)
+    base, target = path.base, path.target
+    n, d = x.shape
+    logjoint, us, vs, e1s, ms, bss = [], [], [], [], [], []
+    for i in range(base.n_components):
+        for j in range(target.n_components):
+            C, S = base.covariances[i], target.covariances[j]
+            cov = a * a * C + b * b * S
+            diff = x - (a * base.means[i] + b * target.means[j])
+            u = np.linalg.solve(cov, diff.T).T
+            logdet = np.linalg.slogdet(cov)[1]
+            logjoint.append(np.log(base.weights[i] * target.weights[j])
+                            - 0.5 * (d * np.log(2 * np.pi) + logdet + np.sum(diff * u, axis=1)))
+            e1 = target.means[j] + b * (S @ u.T).T
+            e0 = base.means[i] + a * (C @ u.T).T
+            us.append(u)
+            e1s.append(e1)
+            vs.append(a_dot * e0 + b_dot * e1)
+            ms.append(np.linalg.solve(cov.T, (a_dot * a * C + b_dot * b * S).T).T)
+            bss.append(np.linalg.solve(cov.T, (b * S).T).T)
+    logjoint = np.stack(logjoint, axis=1)
+    log_density = logsumexp(logjoint, axis=1)
+    r = np.exp(logjoint - log_density[:, None])
+    u, v, e1 = (np.stack(z, axis=1) for z in (us, vs, e1s))
+    score = -np.einsum("np,npi->ni", r, u)
+    g = -u - score[:, None, :]
+
+    def jac(mats, f):
+        return (np.einsum("np,pij->nij", r, np.stack(mats))
+                + np.einsum("np,npi,npj->nij", r, f, g))
+
+    return {"velocity": np.einsum("np,npi->ni", r, v), "score": score,
+            "denoiser": np.einsum("np,npi->ni", r, e1), "log_density": log_density,
+            "velocity_jacobian": jac(ms, v), "denoiser_jacobian": jac(bss, e1)}
+
+
+def _assert_agrees(new, old):
+    scale = np.max(np.abs(old))
+    assert np.max(np.abs(new - old)) <= 1e-11 * scale
+
+
+@pytest.mark.parametrize("kb,kt,d", [(1, 2, 1), (2, 2, 2), (2, 8, 8)])
+@pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
+def test_batched_kernel_matches_per_pair_loop(kb, kt, d, t):
+    path, x = _random_path(kb, kt, d, seed=kb * 100 + kt * 10 + d)
+    ref = _per_pair_reference(path, t, x)
+    dyn = path.dynamics(t, x)
+    for name in ("velocity", "score", "denoiser", "log_density"):
+        _assert_agrees(getattr(dyn, name), ref[name])
+    _assert_agrees(path.velocity_jacobian(t, x), ref["velocity_jacobian"])
+    if t == 0.0:
+        # beta = 0: the denoiser is constant in x, so its Jacobian is zero in
+        # exact arithmetic and both kernels return rounding noise.
+        assert np.max(np.abs(path.denoiser_jacobian(t, x))) <= 1e-11
+    else:
+        _assert_agrees(path.denoiser_jacobian(t, x), ref["denoiser_jacobian"])
+    one_pass = path.dynamics(t, x, jacobian="velocity")
+    assert np.array_equal(one_pass.jacobian, path.velocity_jacobian(t, x))
+    assert np.array_equal(one_pass.velocity, dyn.velocity)
+    assert np.array_equal(path.dynamics(t, x, jacobian="denoiser").jacobian,
+                          path.denoiser_jacobian(t, x))
+    assert dyn.jacobian is None
+
+
+@pytest.mark.parametrize("k,d", [(2, 1), (4, 2), (16, 8)])
+def test_batched_mixture_matches_per_component_loop(k, d):
+    from fmtt import LogResponsibilityReward
+    from scipy.special import logsumexp
+
+    path, x = _random_path(1, k, d, seed=k + d)
+    gm = path.target
+    logjoint, us = [], []
+    for j in range(k):
+        diff = x - gm.means[j]
+        u = np.linalg.solve(gm.covariances[j], diff.T).T
+        logdet = np.linalg.slogdet(gm.covariances[j])[1]
+        logjoint.append(np.log(gm.weights[j])
+                        - 0.5 * (d * np.log(2 * np.pi) + logdet + np.sum(diff * u, axis=1)))
+        us.append(u)
+    logjoint, u = np.stack(logjoint, axis=1), np.stack(us, axis=1)
+    log_density = logsumexp(logjoint, axis=1)
+    resp = np.exp(logjoint - log_density[:, None])
+    _assert_agrees(gm.log_density(x), log_density)
+    _assert_agrees(gm.log_responsibilities(x), logjoint - log_density[:, None])
+    reward = LogResponsibilityReward(gm, component=k - 1, scale=0.3)
+    _assert_agrees(reward.grad(x), 0.3 * (-u[:, k - 1] + np.einsum("nk,nki->ni", resp, u)))
+
+
+def test_dynamics_rejects_unknown_jacobian():
+    path = MixturePath(standard_normal(1), two_mode_1d())
+    with pytest.raises(ValueError):
+        path.dynamics(0.5, np.array([0.0]), jacobian="score")

@@ -30,6 +30,23 @@ def test_ess_degenerate():
         ess(np.full(3, -np.inf))
 
 
+def test_nan_log_weight_is_named_not_called_degenerate():
+    one_nan = np.array([0.0, -1.0, np.nan, 0.5])
+    for fn in (ess, lambda a: weighted_expectation(a, lambda x: x[:, 0], np.ones((4, 1)))):
+        with pytest.raises(DegenerateEnsembleError, match=r"1 of 4 .*particles \[2\]"):
+            fn(one_nan)
+    with pytest.raises(DegenerateEnsembleError, match=r"2 of 5 .*particles \[2, 4\]"):
+        ess(np.append(one_nan, np.inf))
+
+
+def test_negative_epsilon_rejected_before_the_first_step():
+    sched = InterpolantSchedule(epsilon=lambda t: -t, eta_offset=0.05)
+    path = MixturePath(standard_normal(1), standard_normal(1), sched)
+    rt = TimeDependentReward(LinearReward([0.5]), "naive", path)
+    with pytest.raises(ValueError, match=r"epsilon\(0\.1\) = -0\.1 < 0"):
+        run(RunConfig(n_particles=8, n_steps=10, weight_scheme="ito", seed=0), path, rt)
+
+
 def test_ess_shift_invariant():
     a = np.array([0.3, -1.2, 0.8, 0.0])
     assert ess(a) == pytest.approx(ess(a + 123.0), abs=1e-12)
