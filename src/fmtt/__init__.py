@@ -25,14 +25,13 @@ from .diagnostics import (BarrierProfile, DiscrepancyTrace, RefinedSchedule,
 from .errors import (ConfigError, DegenerateEnsembleError,
                      DiagnosticsUndefinedError, FmttError, ScheduleDomainError,
                      SchemeCompatibilityError, ToleranceError)
-from .flowmap import (FlowMapEvaluator, JacobianResult, MemoizedFlowMap,
-                      gaussian_pair_closed_form)
+from .flowmap import FlowMapEvaluator, JacobianResult, gaussian_pair_closed_form
 from .mixtures import DynamicsAt, GaussianMixture, MixturePath, standard_normal
 from .oracles import (GaussianTilt, SnisEstimate, finite_diff_grad,
                       gaussian_tilt_closed_form, snis_tilted_expectation)
 from .rewards import (CustomReward, LinearReward, LogResponsibilityReward,
-                      QuadraticReward, Reward, TimeDependentReward, ZeroReward,
-                      hutchinson_laplacian)
+                      Lookahead, QuadraticReward, Reward, TimeDependentReward,
+                      ZeroReward, hutchinson_laplacian)
 from .schedule import InterpolantSchedule, ScheduleValues
 from .smc import (ParticleEnsemble, RunConfig, RunResult, ess, resample, run,
                   top_n_select, weighted_expectation, z_smc)

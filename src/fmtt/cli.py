@@ -159,11 +159,18 @@ def cmd_search(args) -> int:
     return 0
 
 
-def _estimate_trace(cfg: ExperimentConfig, path, rt, schedule_times, seed_shift: int):
+def _run_seed(seed: int, rnd: int, j: int) -> int:
+    """Seed of run j of refinement round rnd, hashed from the triple so that
+    no two triples share a stream; offsets from the seed would (seed 1's run 1
+    would be seed 2's run 0)."""
+    return int(np.random.SeedSequence([seed, rnd, j]).generate_state(1, np.uint64)[0])
+
+
+def _estimate_trace(cfg: ExperimentConfig, path, rt, schedule_times, rnd: int):
     results = []
     for j in range(cfg.diagnostics_runs):
         rc = replace(cfg.run, schedule_times=schedule_times,
-                     seed=cfg.run.seed + seed_shift + j)
+                     seed=_run_seed(cfg.run.seed, rnd, j))
         results.append(run(rc, path, rt))
     return dg.trace_from_runs(results, cfg.run.paper_literal)
 
@@ -192,7 +199,7 @@ def cmd_refine(args) -> int:
     times = cfg.run.schedule_times
     rounds = []
     for rnd in range(cfg.refinement_rounds):
-        trace = _estimate_trace(cfg, path, rt, times, 1000 * rnd)
+        trace = _estimate_trace(cfg, path, rt, times, rnd)
         profile = dg.thermodynamic_length(trace)
         entry = {"round": rnd, "flat_profile": False}
         entry.update(_diagnostics_summary(trace))

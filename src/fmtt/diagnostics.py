@@ -17,6 +17,18 @@ from scipy.special import logsumexp
 from .errors import DiagnosticsUndefinedError
 
 _LN = np.log
+_POWERS = np.arange(3.0)[:, None]
+
+
+def _log_moments(log_w: np.ndarray, log_g: np.ndarray) -> np.ndarray:
+    """log sum_n w_n g_n^i for i = 0, 1, 2, from log w and log g."""
+    return logsumexp(log_w + _POWERS * log_g, axis=1)
+
+
+def _discrepancy(g: np.ndarray, paper_literal: bool) -> float:
+    """log g2 - 2 log g1 +/- log g0 from the three log-moments."""
+    sign = -1.0 if paper_literal else 1.0
+    return float(g[2] - 2.0 * g[1] + sign * g[0])
 
 
 def incremental_discrepancy_log(log_w_prev: np.ndarray, log_g: np.ndarray,
@@ -34,11 +46,7 @@ def incremental_discrepancy_log(log_w_prev: np.ndarray, log_g: np.ndarray,
         raise ValueError("need matching arrays with at least 2 particles")
     if not np.all(np.isfinite(lg)):
         raise ValueError("incremental weights must be positive and finite")
-    g0 = logsumexp(lw)
-    g1 = logsumexp(lw + lg)
-    g2 = logsumexp(lw + 2.0 * lg)
-    sign = -1.0 if paper_literal else 1.0
-    return float(g2 - 2.0 * g1 + sign * g0)
+    return _discrepancy(_log_moments(lw, lg), paper_literal)
 
 
 def incremental_discrepancy(weights_prev: np.ndarray, g: np.ndarray,
@@ -78,13 +86,15 @@ class DiscrepancyTrace:
 
 
 def trace_from_run(result, paper_literal: bool = False) -> DiscrepancyTrace:
-    """Per-step discrepancies from one SMC run trace."""
-    K = result.log_g.shape[0]
-    d = np.empty(K)
-    for k in range(K):
-        d[k] = incremental_discrepancy_log(result.prev_logweights[k],
-                                           result.log_g[k], paper_literal)
-    return DiscrepancyTrace(d, result.times, 1, result.log_g.shape[1])
+    """Per-step discrepancies from one SMC run trace (its streamed
+    log-moments; see `incremental_discrepancy_log`)."""
+    n = result.ensemble.size
+    if n < 2:
+        raise ValueError("need matching arrays with at least 2 particles")
+    if not np.all(result.log_g_finite):
+        raise ValueError("incremental weights must be positive and finite")
+    d = np.array([_discrepancy(g, paper_literal) for g in result.log_moments])
+    return DiscrepancyTrace(d, result.times, 1, n)
 
 
 def trace_from_runs(results, paper_literal: bool = False) -> DiscrepancyTrace:
@@ -94,22 +104,16 @@ def trace_from_runs(results, paper_literal: bool = False) -> DiscrepancyTrace:
         raise ValueError("need at least one run")
     if len(results) == 1:
         return trace_from_run(results[0], paper_literal)
-    K = results[0].log_g.shape[0]
-    times = results[0].times
+    K = results[0].log_moments.shape[0]
     d = np.empty(K)
     for k in range(K):
         log_moments = np.empty((len(results), 3))
         for j, res in enumerate(results):
-            lw = res.prev_logweights[k]
-            lg = res.log_g[k]
+            g = res.log_moments[k]
             log_z = 0.0 if k == 0 else float(res.log_z_history[k - 1])
-            norm = logsumexp(lw)
-            for i in range(3):
-                log_moments[j, i] = log_z + logsumexp(lw + i * lg) - norm
-        g = [logsumexp(log_moments[:, i]) for i in range(3)]
-        sign = -1.0 if paper_literal else 1.0
-        d[k] = g[2] - 2.0 * g[1] + sign * g[0]
-    return DiscrepancyTrace(d, times, len(results), results[0].log_g.shape[1])
+            log_moments[j] = log_z + g - g[0]
+        d[k] = _discrepancy(logsumexp(log_moments, axis=0), paper_literal)
+    return DiscrepancyTrace(d, results[0].times, len(results), results[0].ensemble.size)
 
 
 def total_discrepancy(trace: DiscrepancyTrace) -> float:

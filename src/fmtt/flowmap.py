@@ -175,53 +175,3 @@ def gaussian_pair_closed_form(path: MixturePath, s: float, t: float,
     dev = solve_triangular(L_s, (x2 - mu_s).T, lower=True)
     out = mu_t + (L_t @ dev).T
     return out[0] if squeeze else out
-
-
-class MemoizedFlowMap:
-    """Caching wrapper keyed on (s, t, x, tolerances) for weight-update loops.
-
-    Not thread-safe for concurrent writers; intended single-writer /
-    multi-reader use.
-    """
-
-    def __init__(self, evaluator: FlowMapEvaluator, max_entries: int = 256):
-        self.evaluator = evaluator
-        self.max_entries = max_entries
-        self._cache: dict = {}
-
-    def _key(self, kind: str, s: float, t: float, x: np.ndarray) -> tuple:
-        ev = self.evaluator
-        return (kind, s, t, x.shape, x.tobytes(), ev.rel_tol, ev.abs_tol)
-
-    def flow_map(self, s: float, t: float, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        key = self._key("map", s, t, x)
-        if key not in self._cache:
-            jac_key = self._key("jac", s, t, x)
-            if jac_key in self._cache:
-                # A sensitivity solve at the same inputs already carries the
-                # endpoint; reuse it instead of integrating again.
-                return self._cache[jac_key].endpoint
-            if len(self._cache) >= self.max_entries:
-                self._cache.clear()
-            self._cache[key] = self.evaluator.flow_map(s, t, x)
-        return self._cache[key]
-
-    def flow_map_jacobian(self, s: float, t: float, x: np.ndarray) -> JacobianResult:
-        x = np.asarray(x, dtype=float)
-        key = self._key("jac", s, t, x)
-        if key not in self._cache:
-            if len(self._cache) >= self.max_entries:
-                self._cache.clear()
-            self._cache[key] = self.evaluator.flow_map_jacobian(s, t, x)
-        return self._cache[key]
-
-    def k_step_map(self, s, t, x, k, scheme="euler"):
-        return self.evaluator.k_step_map(s, t, x, k, scheme)
-
-    def k_step_map_jacobian(self, s, t, x, k, scheme="euler"):
-        return self.evaluator.k_step_map_jacobian(s, t, x, k, scheme)
-
-    @property
-    def path(self):
-        return self.evaluator.path

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .flowmap import FlowMapEvaluator, MemoizedFlowMap
+from .flowmap import FlowMapEvaluator
 from .mixtures import GaussianMixture, MixturePath
 
 
@@ -120,11 +120,27 @@ class CustomReward(Reward):
 MODES = ("naive", "denoiser", "flowmap_exact", "flowmap_ksteps")
 
 
+@dataclass(frozen=True)
+class Lookahead:
+    """What the look-ahead gives at one batch of states (t, x): ``terminal``
+    = r(predicted endpoint) with no factor t, ``value`` = r_t(x) and
+    ``grad`` = grad r_t(x), or None when it was not computed."""
+
+    terminal: np.ndarray
+    value: np.ndarray
+    grad: np.ndarray | None = None
+
+    def take(self, idx: np.ndarray) -> "Lookahead":
+        """The record of the states x[idx]."""
+        return Lookahead(self.terminal[idx], self.value[idx],
+                         None if self.grad is None else self.grad[idx])
+
+
 class TimeDependentReward:
     """Look-ahead reward r_t(x) with analytic gradients through the mode."""
 
     def __init__(self, base: Reward, mode: str, path: MixturePath | None = None,
-                 flow: FlowMapEvaluator | MemoizedFlowMap | None = None,
+                 flow: FlowMapEvaluator | None = None,
                  k: int = 4, k_scheme: str = "euler"):
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -164,16 +180,29 @@ class TimeDependentReward:
         return t * self.terminal_lookahead(t, x)
 
     def grad(self, t: float, x: np.ndarray) -> np.ndarray:
-        return self.value_and_grad(t, x)[1]
+        return self.lookahead_value_and_grad(t, x).grad
 
     def value_and_grad(self, t: float, x: np.ndarray):
         """(r_t(x), grad r_t(x)) with one look-ahead solve in flow-map mode."""
+        look = self.lookahead_value_and_grad(t, x)
+        return look.value, look.grad
+
+    def lookahead_value_and_grad(self, t: float, x: np.ndarray, grad: bool = True) -> Lookahead:
+        """The look-ahead record at (t, x) from one endpoint prediction.
+
+        With ``grad`` the prediction comes with its Jacobian (a sensitivity
+        solve in flow-map mode) and the record carries grad r_t; without, it
+        is the plain prediction and the record's ``grad`` is None.
+        ``terminal`` is r at the predicted endpoint at every t, t = 0 included.
+        """
         x2 = np.atleast_2d(np.asarray(x, dtype=float))
-        if self.mode == "naive":
-            return t * self.base.value(x2), t * self.base.grad(x2)
+        if not grad:
+            terminal = self.terminal_lookahead(t, x2)
+            return Lookahead(terminal, t * terminal, None)
+        if self.mode == "naive" or (self.mode == "denoiser" and t == 1.0):
+            terminal = self.base.value(x2)
+            return Lookahead(terminal, t * terminal, t * self.base.grad(x2))
         if self.mode == "denoiser":
-            if t == 1.0:
-                return self.base.value(x2), self.base.grad(x2)
             dyn = self.path.dynamics(t, x2, jacobian="denoiser")
             end, jac = dyn.denoiser, dyn.jacobian
         elif self.mode == "flowmap_exact":
@@ -183,21 +212,9 @@ class TimeDependentReward:
             res = self.flow.k_step_map_jacobian(t, 1.0, x2, self.k, self.k_scheme)
             end, jac = np.atleast_2d(res.endpoint), res.jacobian
         jac = jac.reshape(x2.shape[0], x2.shape[1], x2.shape[1])
-        gr = self.base.grad(end)
-        return t * self.base.value(end), t * np.einsum("nij,ni->nj", jac, gr)
-
-    def lookahead_value_and_grad(self, t: float, x: np.ndarray):
-        """(r(endpoint), r_t(x), grad r_t(x)); shares the Jacobian solve."""
-        x2 = np.atleast_2d(np.asarray(x, dtype=float))
-        if self.mode == "naive":
-            v = self.base.value(x2)
-            return v, t * v, t * self.base.grad(x2)
-        val, grad = self.value_and_grad(t, x2)
-        if t == 0.0:
-            look = self.terminal_lookahead(t, x2)
-        else:
-            look = val / t
-        return look, val, grad
+        terminal = self.base.value(end)
+        return Lookahead(terminal, t * terminal,
+                         t * np.einsum("nij,ni->nj", jac, self.base.grad(end)))
 
     def time_derivative(self, t: float, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
         """Central finite difference of r_t(x) in t; one-sided at the ends."""

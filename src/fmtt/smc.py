@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
+from .diagnostics import _log_moments
 from .errors import ConfigError, DegenerateEnsembleError
-from .flowmap import MemoizedFlowMap
 from .mixtures import MixturePath
 from .rewards import TimeDependentReward
 from .tilt import (CHI_CHOICES, WEIGHT_SCHEMES, DriftMultiplier, StepInput,
@@ -26,13 +26,18 @@ from .tilt import (CHI_CHOICES, WEIGHT_SCHEMES, DriftMultiplier, StepInput,
 
 @dataclass
 class ParticleEnsemble:
-    """Flat ensemble of n_particles * clones states with log-weights."""
+    """Flat ensemble of n_particles * clones states with log-weights.
+
+    ``ancestors`` holds, after resampling or selection, the row of the
+    previous ensemble that each state was copied from.
+    """
 
     positions: np.ndarray
     logweights: np.ndarray
     n_particles: int
     clones: int = 1
     generation: int = 0
+    ancestors: np.ndarray | None = None
 
     def __post_init__(self):
         self.positions = np.atleast_2d(np.asarray(self.positions, dtype=float))
@@ -106,17 +111,16 @@ def resample(ensemble: ParticleEnsemble, rng: np.random.Generator,
         raise ValueError(f"unknown resampling scheme {scheme!r}")
     return ParticleEnsemble(ensemble.positions[idx], np.zeros(ensemble.size),
                             ensemble.n_particles, ensemble.clones,
-                            ensemble.generation)
+                            ensemble.generation, idx)
 
 
 def top_n_select(ensemble: ParticleEnsemble, scores: np.ndarray, n: int) -> ParticleEnsemble:
     """Keep the n highest-scoring states (ties to the lower flat index) and
     reclone each survivor to the ensemble's clone count; weights reset to 0."""
     order = np.argsort(-np.asarray(scores, dtype=float), kind="stable")
-    keep = np.sort(order[:n])
-    positions = np.repeat(ensemble.positions[keep], ensemble.clones, axis=0)
-    return ParticleEnsemble(positions, np.zeros(n * ensemble.clones),
-                            n, ensemble.clones, ensemble.generation)
+    idx = np.repeat(np.sort(order[:n]), ensemble.clones)
+    return ParticleEnsemble(ensemble.positions[idx], np.zeros(n * ensemble.clones),
+                            n, ensemble.clones, ensemble.generation, idx)
 
 
 @dataclass(frozen=True)
@@ -183,7 +187,13 @@ class RunConfig:
 
 @dataclass
 class RunResult:
-    """Trace of one SMC run."""
+    """Trace of one SMC run.
+
+    Per step k, ``log_moments[k]`` holds log sum_n w_n g_n^i for i = 0, 1, 2,
+    with w_n the weight of particle n before the step and g_n its incremental
+    weight, and ``log_g_finite[k]`` whether every log g_n was finite; the
+    discrepancy diagnostics read nothing else of the weights.
+    """
 
     ensemble: ParticleEnsemble
     times: np.ndarray
@@ -192,8 +202,8 @@ class RunResult:
     resample_log_means: list
     log_z_history: np.ndarray
     mean_reward_history: np.ndarray
-    prev_logweights: np.ndarray
-    log_g: np.ndarray
+    log_moments: np.ndarray
+    log_g_finite: np.ndarray
     mode: str
 
     def log_z(self, k: int | None = None) -> float:
@@ -217,29 +227,41 @@ def z_smc(result: RunResult, k: int | None = None) -> float:
 
 
 def run(cfg: RunConfig, path: MixturePath, rt: TimeDependentReward) -> RunResult:
-    """Execute the full propagate / reweight / resample-or-select loop."""
+    """Execute the full propagate / reweight / resample-or-select loop.
+
+    The look-ahead of each state is evaluated once, right after the state is
+    reached: the next step's position and weight updates, the trace's mean
+    reward and the search scores all read that record, which resampling and
+    selection gather along with the states.
+    """
     cfg.validate(rt)
     ts = cfg.times()
+    sched = path.schedule
     for t in ts:
-        path.schedule.checked_epsilon(t)
-    if rt.is_flowmap() and not isinstance(rt.flow, MemoizedFlowMap):
-        rt = TimeDependentReward(rt.base, rt.mode, rt.path,
-                                 MemoizedFlowMap(rt.flow), rt.k, rt.k_scheme)
+        sched.checked_epsilon(t)
     chi = DriftMultiplier(cfg.chi)
     n, c = cfg.n_particles, cfg.clones
     total = n * c
     d = path.dim
+    grad_weights = cfg.weight_scheme in ("laplacian", "ito")
+
+    def lookahead(t: float, x: np.ndarray):
+        # grad r_t is read by the position step where its coefficient
+        # chi + eps is nonzero, and by the laplacian and ito weights.
+        grad = grad_weights or chi.value(sched, t) + sched.epsilon(t) != 0.0
+        return rt.lookahead_value_and_grad(t, x, grad)
 
     init_rng = _step_rng(cfg.seed, 0, 0)
     x0 = path.base.sample(n, init_rng)
     ens = ParticleEnsemble(np.repeat(x0, c, axis=0), np.zeros(total), n, c)
+    look = lookahead(ts[0], ens.positions)
 
     K = cfg.n_steps
     ess_hist = np.empty(K)
     log_z_hist = np.empty(K)
     mean_r_hist = np.empty(K)
-    prev_logw = np.empty((K, total))
-    log_g = np.empty((K, total))
+    log_moments = np.empty((K, 3))
+    log_g_finite = np.empty(K, dtype=bool)
     resample_steps: list[int] = []
     resample_log_means: list[float] = []
     log_z_events = 0.0
@@ -250,8 +272,10 @@ def run(cfg: RunConfig, path: MixturePath, rt: TimeDependentReward) -> RunResult
     for k in range(1, K + 1):
         t, t_next = ts[k - 1], ts[k]
         noise = _step_rng(cfg.seed, k, 1).standard_normal((total, d))
-        inp = StepInput(ens.positions, ens.logweights, t, t_next, noise)
+        inp = StepInput(ens.positions, ens.logweights, t, t_next, noise,
+                        look, path.dynamics(t, ens.positions))
         x_next = position_step(inp, chi, rt, path)
+        look = lookahead(t_next, x_next)
 
         if cfg.weight_scheme == "simplified":
             a_next = weight_step_simplified(inp, rt)
@@ -260,20 +284,21 @@ def run(cfg: RunConfig, path: MixturePath, rt: TimeDependentReward) -> RunResult
                 inp, chi, rt, path, cfg.hutchinson_probes, cfg.hutchinson_eps,
                 _step_rng(cfg.seed, k, 2), cfg.hutchinson_probe)
         elif cfg.weight_scheme == "ito":
-            a_next = weight_step_ito(inp, chi, rt, path, x_next)
+            a_next = weight_step_ito(inp, chi, rt, path, x_next, look)
         else:
             a_next = weight_step_expectation(
                 inp, chi, rt, path, cfg.expectation_samples,
                 _step_rng(cfg.seed, k, 2), cfg.paper_literal)
 
-        prev_logw[k - 1] = ens.logweights
-        log_g[k - 1] = a_next - ens.logweights
+        log_g = a_next - ens.logweights
+        log_moments[k - 1] = _log_moments(ens.logweights, log_g)
+        log_g_finite[k - 1] = np.isfinite(log_g).all()
         ens = ParticleEnsemble(x_next, a_next, n, c, k)
 
         ess_hist[k - 1] = ess(ens.logweights)
         log_mean_w = float(logsumexp(ens.logweights) - np.log(total))
         log_z_hist[k - 1] = log_z_events + log_mean_w
-        mean_r_hist[k - 1] = float(np.mean(rt.value(t_next, ens.positions)))
+        mean_r_hist[k - 1] = float(np.mean(look.value))
 
         if k == K:
             break
@@ -292,8 +317,8 @@ def run(cfg: RunConfig, path: MixturePath, rt: TimeDependentReward) -> RunResult
                 log_z_events += log_mean_w
                 ens = resample(ens, _step_rng(cfg.seed, k, 3), cfg.resample_method)
             else:
-                scores = rt.value(t_next, ens.positions)
-                ens = top_n_select(ens, scores, n)
+                ens = top_n_select(ens, look.value, n)
+            look = look.take(ens.ancestors)
 
     return RunResult(ens, ts, ess_hist, resample_steps, resample_log_means,
-                     log_z_hist, mean_r_hist, prev_logw, log_g, cfg.mode)
+                     log_z_hist, mean_r_hist, log_moments, log_g_finite, cfg.mode)

@@ -18,8 +18,8 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import SchemeCompatibilityError
-from .mixtures import MixturePath
-from .rewards import TimeDependentReward, hutchinson_laplacian
+from .mixtures import DynamicsAt, MixturePath
+from .rewards import Lookahead, TimeDependentReward, hutchinson_laplacian
 
 CHI_CHOICES = ("default", "tilted_score", "local_tilt", "base")
 WEIGHT_SCHEMES = ("simplified", "laplacian", "ito", "expectation")
@@ -51,13 +51,20 @@ class DriftMultiplier:
 
 @dataclass(frozen=True)
 class StepInput:
-    """State, log-weight, step times, and the shared Gaussian increment."""
+    """State, log-weight, step times, and the shared Gaussian increment.
+
+    ``lookahead`` and ``dynamics`` are the look-ahead record of the reward
+    and the path dynamics at (t, x), when the caller has them; a step
+    function computes what it reads of them when they are absent.
+    """
 
     x: np.ndarray
     logweight: np.ndarray
     t: float
     t_next: float
     noise: np.ndarray
+    lookahead: Lookahead | None = None
+    dynamics: DynamicsAt | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "x", np.atleast_2d(np.asarray(self.x, dtype=float)))
@@ -70,10 +77,25 @@ class StepInput:
             raise ValueError("noise shape must match state shape")
         if self.logweight.shape[0] != self.x.shape[0]:
             raise ValueError("logweight length must match particle count")
+        if self.lookahead is not None and self.lookahead.value.shape[0] != self.x.shape[0]:
+            raise ValueError("look-ahead record length must match particle count")
 
     @property
     def dt(self) -> float:
         return self.t_next - self.t
+
+
+def _dynamics(inp: StepInput, path: MixturePath) -> DynamicsAt:
+    return path.dynamics(inp.t, inp.x) if inp.dynamics is None else inp.dynamics
+
+
+def _lookahead(look: Lookahead | None, rt: TimeDependentReward, t: float,
+               x: np.ndarray, grad: bool) -> Lookahead:
+    """`look` if it holds what is read (grad r_t when ``grad``), else a new
+    record at (t, x)."""
+    if look is None or (grad and look.grad is None):
+        look = rt.lookahead_value_and_grad(t, x, grad)
+    return look
 
 
 def position_step(inp: StepInput, chi: DriftMultiplier, rt: TimeDependentReward,
@@ -82,11 +104,11 @@ def position_step(inp: StepInput, chi: DriftMultiplier, rt: TimeDependentReward,
     sched = path.schedule
     eps = sched.epsilon(inp.t)
     c = chi.value(sched, inp.t)
-    dyn = path.dynamics(inp.t, inp.x)
+    dyn = _dynamics(inp, path)
     drift = dyn.velocity + eps * dyn.score
     coeff = c + eps
     if coeff != 0.0:
-        drift = drift + coeff * rt.grad(inp.t, inp.x)
+        drift = drift + coeff * _lookahead(inp.lookahead, rt, inp.t, inp.x, True).grad
     return inp.x + inp.dt * drift + np.sqrt(2.0 * eps * inp.dt) * inp.noise
 
 
@@ -98,7 +120,8 @@ def weight_step_simplified(inp: StepInput, rt: TimeDependentReward) -> np.ndarra
     """
     if not rt.is_flowmap():
         raise SchemeCompatibilityError("simplified weights require a flow-map look-ahead reward")
-    return inp.logweight + inp.dt * rt.terminal_lookahead(inp.t, inp.x)
+    look = _lookahead(inp.lookahead, rt, inp.t, inp.x, False)
+    return inp.logweight + inp.dt * look.terminal
 
 
 def _drift_bracket(inp: StepInput, rt: TimeDependentReward, path: MixturePath,
@@ -108,13 +131,12 @@ def _drift_bracket(inp: StepInput, rt: TimeDependentReward, path: MixturePath,
     In flow-map mode D = r(X_{t,1}(x)); otherwise D = b . grad r_t + d/dt r_t
     with the time derivative by finite differences.
     """
+    look = _lookahead(inp.lookahead, rt, inp.t, inp.x, True)
     if rt.is_flowmap():
-        look, _, grad = rt.lookahead_value_and_grad(inp.t, inp.x)
-        return look, grad
-    grad = rt.grad(inp.t, inp.x)
-    b = path.dynamics(inp.t, inp.x).velocity
-    d = np.einsum("ni,ni->n", b, grad) + rt.time_derivative(inp.t, inp.x, td_step)
-    return d, grad
+        return look.terminal, look.grad
+    b = _dynamics(inp, path).velocity
+    d = np.einsum("ni,ni->n", b, look.grad) + rt.time_derivative(inp.t, inp.x, td_step)
+    return d, look.grad
 
 
 def weight_step_laplacian(inp: StepInput, chi: DriftMultiplier, rt: TimeDependentReward,
@@ -130,7 +152,7 @@ def weight_step_laplacian(inp: StepInput, chi: DriftMultiplier, rt: TimeDependen
     d, grad = _drift_bracket(inp, rt, path)
     incr = d
     if c != 0.0:
-        score = path.dynamics(inp.t, inp.x).score
+        score = _dynamics(inp, path).score
         lap = hutchinson_laplacian(rt, inp.t, inp.x, m_probes, probe_eps, rng, probe)
         incr = incr + c * (np.einsum("ni,ni->n", grad, grad) + lap
                            + np.einsum("ni,ni->n", grad, score))
@@ -148,12 +170,14 @@ def _ito_coefficient(c: float, eps: float, t: float) -> float:
 
 
 def weight_step_ito(inp: StepInput, chi: DriftMultiplier, rt: TimeDependentReward,
-                    path: MixturePath, x_next: np.ndarray) -> np.ndarray:
+                    path: MixturePath, x_next: np.ndarray,
+                    lookahead_next: Lookahead | None = None) -> np.ndarray:
     """Log-weight update from the forward/backward Ito integral difference.
 
     The same Gaussian increment used in the position step must be supplied
     in the StepInput; the forward-integral gradient is evaluated at the
-    post-step state x_next.
+    post-step state x_next, read from ``lookahead_next`` (the record at
+    (t_next, x_next)) when that carries it.
     """
     sched = path.schedule
     c_t = chi.value(sched, inp.t)
@@ -161,7 +185,7 @@ def weight_step_ito(inp: StepInput, chi: DriftMultiplier, rt: TimeDependentRewar
     d, grad = _drift_bracket(inp, rt, path)
     incr = d
     if c_t != 0.0:
-        score = path.dynamics(inp.t, inp.x).score
+        score = _dynamics(inp, path).score
         incr = incr + c_t * (np.einsum("ni,ni->n", grad, grad)
                              + np.einsum("ni,ni->n", grad, score))
     out = inp.logweight + inp.dt * incr
@@ -169,7 +193,7 @@ def weight_step_ito(inp: StepInput, chi: DriftMultiplier, rt: TimeDependentRewar
     coef_fwd = _ito_coefficient(c_tn, sched.epsilon(inp.t_next), inp.t_next)
     coef_bwd = _ito_coefficient(c_t, sched.epsilon(inp.t), inp.t)
     if coef_fwd != 0.0:
-        grad_next = rt.grad(inp.t_next, np.atleast_2d(x_next))
+        grad_next = _lookahead(lookahead_next, rt, inp.t_next, x_next, True).grad
         out = out + coef_fwd * sq * np.einsum("ni,ni->n", grad_next, inp.noise)
     if coef_bwd != 0.0:
         out = out - coef_bwd * sq * np.einsum("ni,ni->n", grad, inp.noise)
@@ -194,8 +218,8 @@ def weight_step_expectation(inp: StepInput, chi: DriftMultiplier, rt: TimeDepend
         raise ValueError("m_samples must be >= 1")
     sched = path.schedule
     c = chi.value(sched, inp.t)
-    dyn = path.dynamics(inp.t, inp.x)
-    r_here = rt.value(inp.t, inp.x)
+    dyn = _dynamics(inp, path)
+    r_here = rt.value(inp.t, inp.x) if inp.lookahead is None else inp.lookahead.value
     if c == 0.0:
         y = inp.x + inp.dt * dyn.velocity
         return inp.logweight + rt.value(inp.t_next, y) - r_here

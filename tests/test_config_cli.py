@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 from fmtt import ConfigError, ExperimentConfig
-from fmtt.cli import main
+from fmtt.cli import _run_seed, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -227,3 +227,10 @@ def test_cli_verify_only_suite(capsys):
     assert main(["verify", "--only", "oracles"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_run_seeds_are_distinct_across_seeds_rounds_and_runs():
+    grid = [_run_seed(s, r, j) for s in range(4) for r in range(3) for j in range(1002)]
+    assert len(set(grid)) == len(grid)
+    assert not {_run_seed(1, r, j) for r in range(3) for j in range(50)} & {
+        _run_seed(2, r, j) for r in range(3) for j in range(50)}

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
+import fmtt.smc
 from fmtt import (BarrierProfile, DiagnosticsUndefinedError, DiscrepancyTrace,
                   InterpolantSchedule, LinearReward, MixturePath, RunConfig,
                   TimeDependentReward, ZeroReward, incremental_discrepancy,
@@ -176,3 +178,62 @@ def test_trace_validation():
         BarrierProfile(np.array([0.0, 1.0]), np.array([0.1, 0.2]))
     with pytest.raises(ValueError):
         BarrierProfile(np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.4, 0.3]))
+
+
+def _recorded_linear_runs(monkeypatch, seeds):
+    """Runs with resampling, plus each step's log-weights before the step
+    and log incremental weights, as (K, N) arrays per run."""
+    steps = []
+    weight_step_ito = fmtt.smc.weight_step_ito
+
+    def recording_ito(inp, *args):
+        out = weight_step_ito(inp, *args)
+        steps.append((inp.logweight.copy(), out - inp.logweight))
+        return out
+
+    monkeypatch.setattr(fmtt.smc, "weight_step_ito", recording_ito)
+    sched = InterpolantSchedule.linear(eta_offset=0.05)
+    path = MixturePath(standard_normal(1), standard_normal(1), sched)
+    rt = TimeDependentReward(LinearReward([0.8]), "naive", path)
+    runs, arrays = [], []
+    for seed in seeds:
+        steps.clear()
+        cfg = RunConfig(n_particles=48, n_steps=25, chi="tilted_score",
+                        weight_scheme="ito", seed=seed,
+                        resampling={"kind": "at_steps", "steps": [8, 16]})
+        runs.append(run(cfg, path, rt))
+        arrays.append(tuple(np.array(a) for a in zip(*steps)))
+    return runs, arrays
+
+
+@pytest.mark.parametrize("paper_literal", [False, True])
+def test_streamed_moments_match_the_array_formula(monkeypatch, paper_literal):
+    runs, arrays = _recorded_linear_runs(monkeypatch, [3, 4, 5])
+    sign = -1.0 if paper_literal else 1.0
+
+    def moments(lw, lg):
+        return [logsumexp(lw + i * lg) for i in range(3)]
+
+    lw, lg = arrays[0]
+    single = [g[2] - 2.0 * g[1] + sign * g[0] for g in map(moments, lw, lg)]
+    assert np.allclose(trace_from_run(runs[0], paper_literal).d_hat, single,
+                       rtol=0, atol=1e-12)
+    multi = []
+    for k in range(runs[0].log_moments.shape[0]):
+        per_run = []
+        for res, (lw, lg) in zip(runs, arrays):
+            log_z = 0.0 if k == 0 else res.log_z_history[k - 1]
+            per_run.append(log_z + np.array(moments(lw[k], lg[k])) - logsumexp(lw[k]))
+        g = logsumexp(np.array(per_run), axis=0)
+        multi.append(g[2] - 2.0 * g[1] + sign * g[0])
+    assert np.allclose(trace_from_runs(runs, paper_literal).d_hat, multi,
+                       rtol=0, atol=1e-12)
+
+
+def test_trace_from_run_rejects_one_particle_and_nonfinite_log_g():
+    with pytest.raises(ValueError, match="at least 2 particles"):
+        trace_from_run(_linear_run(0, n=1, k=3))
+    res = _linear_run(0, n=4, k=3)
+    res.log_g_finite[1] = False
+    with pytest.raises(ValueError, match="positive and finite"):
+        trace_from_run(res)

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from fmtt import (FlowMapEvaluator, GaussianMixture, MemoizedFlowMap,
-                  MixturePath, ToleranceError, gaussian_pair_closed_form,
-                  standard_normal)
+from fmtt import (FlowMapEvaluator, GaussianMixture, MixturePath,
+                  ToleranceError, gaussian_pair_closed_form, standard_normal)
 
 
 def std_path():
@@ -141,17 +140,6 @@ def test_numerical_matches_closed_form():
             num = ev.flow_map(s, t, np.array([x]))[0]
             exact = gaussian_pair_closed_form(path, s, t, np.array([x]))[0]
             assert num == pytest.approx(exact, abs=1e-8)
-
-
-def test_memoized_wrapper_returns_cached():
-    ev = FlowMapEvaluator(std_path())
-    memo = MemoizedFlowMap(ev)
-    x = np.array([[1.0]])
-    a = memo.flow_map(0.2, 1.0, x)
-    b = memo.flow_map(0.2, 1.0, x)
-    assert a is b
-    jac = memo.flow_map_jacobian(0.3, 1.0, x)
-    assert np.array_equal(memo.flow_map(0.3, 1.0, x), jac.endpoint)
 
 
 def test_batched_matches_single():

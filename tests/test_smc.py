@@ -1,11 +1,17 @@
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 
-from fmtt import (ConfigError, DegenerateEnsembleError, GaussianMixture,
-                  InterpolantSchedule, LinearReward, LogResponsibilityReward,
-                  MixturePath, ParticleEnsemble, RunConfig, RunResult,
-                  TimeDependentReward, ZeroReward, ess, resample, run,
-                  standard_normal, top_n_select, weighted_expectation, z_smc)
+import fmtt.smc
+from fmtt import (ConfigError, DegenerateEnsembleError, DriftMultiplier,
+                  FlowMapEvaluator, GaussianMixture, InterpolantSchedule,
+                  LinearReward, LogResponsibilityReward, MixturePath,
+                  ParticleEnsemble, RunConfig, RunResult, StepInput,
+                  TimeDependentReward, ZeroReward, ess, position_step, resample,
+                  run, standard_normal, top_n_select, weight_step_ito,
+                  weighted_expectation, z_smc)
+from fmtt.smc import _step_rng
 
 
 def std_path():
@@ -73,6 +79,7 @@ def test_resample_concentrated():
     ens = ParticleEnsemble([[1.0], [2.0], [3.0]], [0.0, -np.inf, -np.inf], 3)
     out = resample(ens, np.random.default_rng(0))
     assert np.all(out.positions == 1.0)
+    assert np.array_equal(out.ancestors, [0, 0, 0])
     assert np.all(out.logweights == 0.0)
 
 
@@ -109,6 +116,7 @@ def test_top_n_reclones_survivors():
     ens = ParticleEnsemble([[1.0], [2.0], [3.0], [4.0]], np.zeros(4), 2, clones=2)
     out = top_n_select(ens, np.array([0.0, 3.0, 1.0, 2.0]), 2)
     assert np.array_equal(out.positions[:, 0], [2.0, 2.0, 4.0, 4.0])
+    assert np.array_equal(out.ancestors, [1, 1, 3, 3])
     assert np.all(out.logweights == 0.0)
 
 
@@ -238,3 +246,107 @@ def test_schedule_times_are_honored():
                     weight_scheme="ito", seed=0)
     res = run(cfg, path, rt)
     assert np.array_equal(res.times, ts)
+
+
+@dataclass(frozen=True)
+class CountingFlow(FlowMapEvaluator):
+    """Records the start time s of every plain and sensitivity solve."""
+
+    maps: list = field(default_factory=list)
+    jacobians: list = field(default_factory=list)
+
+    def flow_map(self, s, t, x):
+        self.maps.append(s)
+        return super().flow_map(s, t, x)
+
+    def flow_map_jacobian(self, s, t, x):
+        self.jacobians.append(s)
+        return super().flow_map_jacobian(s, t, x)
+
+
+def two_mode_path():
+    target = GaussianMixture.isotropic([0.5, 0.5], [[-2.0, 0.0], [2.0, 0.0]], 0.25)
+    return target, MixturePath(standard_normal(2), target,
+                               InterpolantSchedule.linear(eta_offset=0.05))
+
+
+def test_lookahead_at_t0_makes_one_solve():
+    target, path = two_mode_path()
+    flow = CountingFlow(path, rel_tol=1e-7, abs_tol=1e-9)
+    reward = LogResponsibilityReward(target, 1, 0.1)
+    rt = TimeDependentReward(reward, "flowmap_exact", path, flow)
+    x = np.array([[0.3, -0.2], [1.5, 0.4]])
+    look = rt.lookahead_value_and_grad(0.0, x)
+    assert flow.maps == [] and flow.jacobians == [0.0]
+    end = FlowMapEvaluator(path, rel_tol=1e-7, abs_tol=1e-9).flow_map_jacobian(0.0, 1.0, x)
+    assert np.array_equal(look.terminal, reward.value(end.endpoint))
+    assert np.all(look.value == 0.0) and np.all(look.grad == 0.0)
+
+
+def test_flowmap_run_solve_budget():
+    # One look-ahead solve per state: a sensitivity solve wherever grad r_t
+    # is read, and no plain map solve before t = 1.
+    target, path = two_mode_path()
+    flow = CountingFlow(path, rel_tol=1e-7, abs_tol=1e-9)
+    rt = TimeDependentReward(LogResponsibilityReward(target, 1, 0.1), "flowmap_exact",
+                             path, flow)
+    cfg = RunConfig(n_particles=16, n_steps=6, weight_scheme="simplified", seed=5,
+                    resampling={"kind": "every", "r": 2})
+    res = run(cfg, path, rt)
+    assert res.resample_steps == [2, 4]
+    assert [s for s in flow.maps if s < 1.0] == []
+    assert len(flow.jacobians) <= cfg.n_steps + 1
+
+
+def _reference_ito_run(cfg, path, rt):
+    """The run loop rebuilt from the public step functions, with bare
+    StepInputs (every look-ahead recomputed at the current states)."""
+    chi = DriftMultiplier(cfg.chi)
+    ts = cfg.times()
+    n = cfg.n_particles
+    x = path.base.sample(n, _step_rng(cfg.seed, 0, 0))
+    lw = np.zeros(n)
+    for k in range(1, cfg.n_steps + 1):
+        noise = _step_rng(cfg.seed, k, 1).standard_normal(x.shape)
+        inp = StepInput(x, lw, ts[k - 1], ts[k], noise)
+        x_next = position_step(inp, chi, rt, path)
+        lw = weight_step_ito(inp, chi, rt, path, x_next)
+        x = x_next
+        if (k < cfg.n_steps and cfg.resampling["kind"] == "ess"
+                and ess(lw) < cfg.resampling["threshold"] * n):
+            ens = resample(ParticleEnsemble(x, lw, n), _step_rng(cfg.seed, k, 3))
+            x, lw = ens.positions, ens.logweights
+    return x, lw
+
+
+@pytest.mark.parametrize("resampling", [{"kind": "ess", "threshold": 0.85},
+                                        {"kind": "never"}])
+def test_carried_lookahead_matches_recomputed_bitwise(resampling):
+    target, path = two_mode_path()
+    rt = TimeDependentReward(LogResponsibilityReward(target, 1, 0.5), "naive", path)
+    cfg = RunConfig(n_particles=32, n_steps=15, chi="tilted_score", weight_scheme="ito",
+                    seed=13, resampling=resampling)
+    res = run(cfg, path, rt)
+    assert (res.resample_steps != []) == (resampling["kind"] == "ess")
+    x, lw = _reference_ito_run(cfg, path, rt)
+    assert np.array_equal(res.ensemble.positions, x)
+    assert np.array_equal(res.ensemble.logweights, lw)
+
+
+def test_search_scores_are_the_lookahead_at_the_selected_states(monkeypatch):
+    target, path = two_mode_path()
+    rt = TimeDependentReward(LogResponsibilityReward(target, 1, 0.1), "denoiser", path)
+    seen = []
+
+    def recording_top_n(ensemble, scores, n):
+        seen.append((ensemble.positions.copy(), np.array(scores)))
+        return top_n_select(ensemble, scores, n)
+
+    monkeypatch.setattr(fmtt.smc, "top_n_select", recording_top_n)
+    cfg = RunConfig(n_particles=8, n_steps=12, clones=3, mode="searching",
+                    chi="tilted_score", weight_scheme="ito", seed=2,
+                    resampling={"kind": "at_steps", "steps": [4, 9]})
+    res = run(cfg, path, rt)
+    assert res.resample_steps == [4, 9] and len(seen) == 2
+    for step, (positions, scores) in zip(res.resample_steps, seen):
+        assert np.array_equal(scores, rt.value(res.times[step], positions))
