@@ -1,0 +1,115 @@
+"""Compare the flow maps and SMC runs of this tree with another revision.
+
+Usage, from the repository root:
+
+    git archive <rev> | tar -x -C /tmp/other
+    python scripts/compare_with_parent.py /tmp/other
+
+Each tree's `fmtt` is imported in its own interpreter with one BLAS thread.
+Both compute the same outputs:
+
+- `flow_map`, `flow_map_jacobian`, `k_step_map` and `k_step_map_jacobian`
+  (Euler and Heun, k = 1 and 4) on a 2-D two-mode path, for (d,) and (n, d)
+  inputs, s < t, s > t and s == t;
+- the final positions and log-weights of the exact-small and naive-wide
+  benchmark workloads (built by `perfbench/workloads.py` of this tree) at
+  seeds 7 and 11.
+
+Every output is reported as bitwise equal or with its largest absolute
+difference.  The exit code is 1 when an output listed as exact differs:
+everything but the naive-wide log-weights, whose d/dt r_t term may move in
+the last bits when the look-ahead changes how it is formed.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+REPO = Path(__file__).resolve().parents[1]
+SEEDS = (7, 11)
+NOT_EXACT = tuple(f"naive-wide/{seed}/logweights" for seed in SEEDS)
+
+
+def dump(out: str) -> None:
+    """Compute every compared output with the `fmtt` on sys.path; save to out."""
+    import fmtt
+    import workloads
+    from spec import SIZES
+
+    target = fmtt.GaussianMixture.isotropic([0.3, 0.7], [[-2.0, 0.5], [1.5, -1.0]], 0.4)
+    path = fmtt.MixturePath(fmtt.standard_normal(2), target)
+    ev = fmtt.FlowMapEvaluator(path, rel_tol=1e-7, abs_tol=1e-9)
+    xs = np.random.default_rng(3).normal(size=(5, 2))
+    arrays = {}
+    for shape, x in (("n,d", xs), ("d", xs[1])):
+        for s, t in ((0.2, 1.0), (0.9, 0.1), (0.4, 0.4)):
+            key = f"{shape}/{s}->{t}"
+            arrays[f"flow_map/{key}"] = ev.flow_map(s, t, x)
+            res = ev.flow_map_jacobian(s, t, x)
+            arrays[f"flow_map_jacobian/{key}/endpoint"] = res.endpoint
+            arrays[f"flow_map_jacobian/{key}/jacobian"] = res.jacobian
+            for scheme in ("euler", "heun"):
+                for k in (1, 4):
+                    kkey = f"{key}/{scheme}/k={k}"
+                    arrays[f"k_step_map/{kkey}"] = ev.k_step_map(s, t, x, k, scheme)
+                    res = ev.k_step_map_jacobian(s, t, x, k, scheme)
+                    arrays[f"k_step_map_jacobian/{kkey}/endpoint"] = res.endpoint
+                    arrays[f"k_step_map_jacobian/{kkey}/jacobian"] = res.jacobian
+
+    with tempfile.TemporaryDirectory() as work:
+        for name, chi, scheme in (("exact-small", "default", "simplified"),
+                                  ("naive-wide", "tilted_score", "ito")):
+            ctx = workloads.setup(name, "full", Path(work))
+            size = SIZES[name]["full"]
+            for seed in SEEDS:
+                cfg = fmtt.RunConfig(n_particles=size["n"], n_steps=size["steps"],
+                                     chi=chi, weight_scheme=scheme, seed=seed)
+                res = fmtt.run(cfg, ctx.path, ctx.rt)
+                arrays[f"{name}/{seed}/positions"] = res.ensemble.positions
+                arrays[f"{name}/{seed}/logweights"] = res.ensemble.logweights
+    np.savez(out, **arrays)
+
+
+def compute(tree: Path, out: Path) -> dict:
+    env = {k: v for k, v in os.environ.items() if k != "FMTT_THREADS"}
+    env.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(tree / "src"), str(REPO / "perfbench")]))
+    subprocess.run([sys.executable, __file__, "--dump", str(out)], env=env, check=True)
+    with np.load(out) as data:
+        return dict(data)
+
+
+def main(other: str) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        here = compute(REPO, Path(tmp) / "here.npz")
+        there = compute(Path(other).resolve(), Path(tmp) / "there.npz")
+    if here.keys() != there.keys():
+        print("the two trees computed different outputs")
+        return 1
+    failed = 0
+    for key in sorted(here):
+        a, b = here[key], there[key]
+        if a.shape == b.shape and np.array_equal(a, b):
+            print(f"bitwise equal  {key}")
+            continue
+        diff = np.max(np.abs(a - b)) if a.shape == b.shape else f"shape {a.shape} vs {b.shape}"
+        exact = key not in NOT_EXACT
+        failed += exact
+        print(f"{'DIFFERS' if exact else 'differs'}        {key}: max |diff| {diff}")
+    print(f"{len(here)} outputs, {failed} that should be bitwise equal differ")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--dump"]:
+        dump(sys.argv[2])
+    elif len(sys.argv) == 2:
+        sys.exit(main(sys.argv[1]))
+    else:
+        sys.exit(__doc__)

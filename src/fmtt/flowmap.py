@@ -1,15 +1,17 @@
 """Two-time flow map of the probability-flow ODE.
 
 The map X_{s,t} transports a state from time s to time t along solutions of
-dx/dtau = b_tau(x).  It is evaluated here by high-accuracy adaptive
-Runge-Kutta integration (Dormand-Prince 5(4) via scipy), batched over
-particles, with an optional dense Jacobian computed by forward sensitivity.
-Few-step Euler/Heun approximations model distilled few-step maps.
+dx/dtau = b_tau(x).  All four maps (exact or k-step, with or without the
+spatial Jacobian) run one routine with one state (the positions, batched
+over particles, plus the identity sensitivity matrix for the Jacobian), one
+right-hand side (the velocity and the variational equation J' = grad b J),
+and either adaptive Dormand-Prince 5(4) integration via scipy or k fixed
+Euler/Heun steps, which model distilled few-step maps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import RK45
@@ -17,6 +19,16 @@ from scipy.linalg import cholesky, solve_triangular
 
 from .errors import ToleranceError
 from .mixtures import MixturePath
+
+SCHEMES = ("euler", "heun")
+
+
+def _check_k_steps(k: int, scheme: str) -> None:
+    """Raise ValueError unless ``k`` >= 1 steps of a known fixed-step scheme."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
 
 
 @dataclass(frozen=True)
@@ -51,103 +63,61 @@ class FlowMapEvaluator:
             )
         return solver.y
 
-    def flow_map(self, s: float, t: float, x: np.ndarray) -> np.ndarray:
-        """X_{s,t}(x) for x of shape (d,) or (n, d); both s<t and s>t work."""
+    def _map(self, s: float, t: float, x: np.ndarray, jacobian: bool,
+             k: int | None = None, scheme: str = "euler"):
+        """(X_{s,t}(x), grad X_{s,t}(x) or None without ``jacobian``) for x of
+        shape (d,) or (n, d); adaptive, or k fixed steps of ``scheme`` when k
+        is given.  X_{s,s} is the identity; both s < t and s > t work."""
+        if k is not None:
+            _check_k_steps(k, scheme)
         x = np.asarray(x, dtype=float)
         if not np.all(np.isfinite(x)):
             raise ValueError("non-finite state")
-        if s == t:
-            return x.copy()
-        squeeze = x.ndim == 1
-        x2 = np.atleast_2d(x)
-        n, d = x2.shape
+        n, d = np.atleast_2d(x).shape
+        nx = n * d
+        y = x.flatten()
+        if jacobian:
+            y = np.concatenate([y, np.broadcast_to(np.eye(d), (n, d, d)).ravel()])
 
-        def fun(tau, y):
-            return self.path.dynamics(tau, y.reshape(n, d)).velocity.ravel()
+        def rhs(tau, y):
+            dyn = self.path.dynamics(tau, y[:nx].reshape(n, d),
+                                     jacobian="velocity" if jacobian else None)
+            if not jacobian:
+                return dyn.velocity.ravel()
+            sens = np.einsum("nij,njk->nik", dyn.jacobian, y[nx:].reshape(n, d, d))
+            return np.concatenate([dyn.velocity.ravel(), sens.ravel()])
 
-        out = self._integrate(fun, x2.ravel(), s, t).reshape(n, d)
-        return out[0] if squeeze else out
+        if s != t and k is None:
+            y = self._integrate(rhs, y, s, t)
+        elif s != t:
+            taus = np.linspace(s, t, k + 1)
+            for a, b in zip(taus[:-1], taus[1:]):
+                h = b - a
+                f = rhs(a, y)
+                if scheme == "euler":
+                    y = y + h * f
+                else:
+                    y = y + 0.5 * h * (f + rhs(b, y + h * f))
+        jac = y[nx:].reshape(x.shape + (d,)) if jacobian else None
+        return y[:nx].reshape(x.shape), jac
+
+    def flow_map(self, s: float, t: float, x: np.ndarray) -> np.ndarray:
+        """X_{s,t}(x) for x of shape (d,) or (n, d); both s<t and s>t work."""
+        return self._map(s, t, x, False)[0]
 
     def flow_map_jacobian(self, s: float, t: float, x: np.ndarray) -> JacobianResult:
         """X_{s,t}(x) and the dense Jacobian grad X_{s,t}(x) by forward sensitivity."""
-        x = np.asarray(x, dtype=float)
-        squeeze = x.ndim == 1
-        x2 = np.atleast_2d(x)
-        n, d = x2.shape
-        if s == t:
-            eye = np.broadcast_to(np.eye(d), (n, d, d)).copy()
-            return JacobianResult(x.copy(), eye[0] if squeeze else eye)
-
-        nx = n * d
-
-        def fun(tau, y):
-            pos = y[:nx].reshape(n, d)
-            jac = y[nx:].reshape(n, d, d)
-            dyn = self.path.dynamics(tau, pos, jacobian="velocity")
-            return np.concatenate([dyn.velocity.ravel(),
-                                   np.einsum("nij,njk->nik", dyn.jacobian, jac).ravel()])
-
-        y0 = np.concatenate([x2.ravel(), np.broadcast_to(np.eye(d), (n, d, d)).ravel()])
-        y = self._integrate(fun, y0, s, t)
-        endpoint = y[:nx].reshape(n, d)
-        jacobian = y[nx:].reshape(n, d, d)
-        if squeeze:
-            return JacobianResult(endpoint[0], jacobian[0])
-        return JacobianResult(endpoint, jacobian)
+        return JacobianResult(*self._map(s, t, x, True))
 
     def k_step_map(self, s: float, t: float, x: np.ndarray, k: int,
                    scheme: str = "euler") -> np.ndarray:
         """Compose k fixed-size Euler or Heun steps of the flow ODE."""
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if scheme not in ("euler", "heun"):
-            raise ValueError(f"unknown scheme {scheme!r}")
-        x = np.asarray(x, dtype=float)
-        squeeze = x.ndim == 1
-        y = np.atleast_2d(x).copy()
-        taus = np.linspace(s, t, k + 1)
-        for a, b in zip(taus[:-1], taus[1:]):
-            h = b - a
-            v0 = self.path.dynamics(a, y).velocity
-            if scheme == "euler":
-                y = y + h * v0
-            else:
-                pred = y + h * v0
-                v1 = self.path.dynamics(b, pred).velocity
-                y = y + 0.5 * h * (v0 + v1)
-        return y[0] if squeeze else y
+        return self._map(s, t, x, False, k, scheme)[0]
 
     def k_step_map_jacobian(self, s: float, t: float, x: np.ndarray, k: int,
                             scheme: str = "euler") -> JacobianResult:
-        """Endpoint and Jacobian of the k-step map by chain rule through the steps."""
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        x = np.asarray(x, dtype=float)
-        squeeze = x.ndim == 1
-        y = np.atleast_2d(x).copy()
-        n, d = y.shape
-        J = np.broadcast_to(np.eye(d), (n, d, d)).copy()
-        taus = np.linspace(s, t, k + 1)
-        for a, b in zip(taus[:-1], taus[1:]):
-            h = b - a
-            dyn0 = self.path.dynamics(a, y, jacobian="velocity")
-            v0, g0 = dyn0.velocity, dyn0.jacobian
-            if scheme == "euler":
-                y = y + h * v0
-                J = J + h * np.einsum("nij,njk->nik", g0, J)
-            elif scheme == "heun":
-                pred = y + h * v0
-                Jp = J + h * np.einsum("nij,njk->nik", g0, J)
-                dyn1 = self.path.dynamics(b, pred, jacobian="velocity")
-                v1, g1 = dyn1.velocity, dyn1.jacobian
-                y = y + 0.5 * h * (v0 + v1)
-                J = J + 0.5 * h * (np.einsum("nij,njk->nik", g0, J)
-                                   + np.einsum("nij,njk->nik", g1, Jp))
-            else:
-                raise ValueError(f"unknown scheme {scheme!r}")
-        if squeeze:
-            return JacobianResult(y[0], J[0])
-        return JacobianResult(y, J)
+        """Endpoint and Jacobian of the k-step map (its steps on the sensitivity)."""
+        return JacobianResult(*self._map(s, t, x, True, k, scheme))
 
 
 def gaussian_pair_closed_form(path: MixturePath, s: float, t: float,

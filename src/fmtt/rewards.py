@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .flowmap import FlowMapEvaluator
+from .flowmap import FlowMapEvaluator, _check_k_steps
 from .mixtures import GaussianMixture, MixturePath
 
 
@@ -25,6 +25,10 @@ class Reward:
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def value_and_grad(self, x: np.ndarray):
+        """(r(x), grad r(x)); a reward overrides it to share work between them."""
+        return self.value(x), self.grad(x)
 
 
 @dataclass(frozen=True)
@@ -78,11 +82,15 @@ class LogResponsibilityReward(Reward):
         return self.scale * self.mixture.log_responsibilities(x)[:, self.component]
 
     def grad(self, x):
+        return self.value_and_grad(x)[1]
+
+    def value_and_grad(self, x):
+        """Both from one kernel pass."""
         log_resp, _, half = self.mixture._posterior(np.atleast_2d(np.asarray(x, dtype=float)))
         u = half @ self.mixture._inv_chols  # u_j = C_j^{-1}(x - m_j) = L_j^{-T} half_j
         # grad log p(c|x) = -u_c + sum_j p(j|x) u_j
         g = -u[self.component] + np.einsum("kn,kni->ni", np.exp(log_resp), u)
-        return self.scale * g
+        return self.scale * log_resp[self.component], self.scale * g
 
 
 @dataclass(frozen=True)
@@ -146,6 +154,8 @@ class TimeDependentReward:
             raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
         if mode != "naive" and path is None:
             raise ValueError(f"mode {mode!r} requires a path")
+        if mode == "flowmap_ksteps":
+            _check_k_steps(k, k_scheme)
         if mode.startswith("flowmap") and flow is None:
             flow = FlowMapEvaluator(path, rel_tol=1e-7, abs_tol=1e-9)
         self.base = base
@@ -158,34 +168,33 @@ class TimeDependentReward:
     def is_flowmap(self) -> bool:
         return self.mode.startswith("flowmap")
 
-    def _endpoint(self, t: float, x: np.ndarray) -> np.ndarray:
-        if self.mode == "naive":
-            return np.atleast_2d(x)
+    def _predict(self, t: float, x2: np.ndarray, jacobian: bool):
+        """(predicted endpoint of the states x2 at time t, its Jacobian in x2);
+        the Jacobian is None without ``jacobian`` or where the endpoint is x2
+        itself."""
+        if self.mode == "naive" or (self.mode == "denoiser" and t == 1.0):
+            return x2, None
         if self.mode == "denoiser":
-            if t == 1.0:
-                return np.atleast_2d(x)
-            return np.atleast_2d(self.path.dynamics(t, np.atleast_2d(x)).denoiser)
+            dyn = self.path.dynamics(t, x2, jacobian="denoiser" if jacobian else None)
+            return dyn.denoiser, dyn.jacobian
         if self.mode == "flowmap_exact":
-            return np.atleast_2d(self.flow.flow_map(t, 1.0, np.atleast_2d(x)))
-        return np.atleast_2d(
-            self.flow.k_step_map(t, 1.0, np.atleast_2d(x), self.k, self.k_scheme))
+            res = (self.flow.flow_map_jacobian if jacobian else self.flow.flow_map)(t, 1.0, x2)
+        else:
+            res = (self.flow.k_step_map_jacobian if jacobian else self.flow.k_step_map)(
+                t, 1.0, x2, self.k, self.k_scheme)
+        return (res.endpoint, res.jacobian) if jacobian else (res, None)
 
     def terminal_lookahead(self, t: float, x: np.ndarray) -> np.ndarray:
         """r evaluated at the predicted endpoint (no factor t)."""
-        return self.base.value(self._endpoint(t, x))
+        return self.lookahead_value_and_grad(t, x, False).terminal
 
     def value(self, t: float, x: np.ndarray) -> np.ndarray:
         if t == 0.0:
             return np.zeros(np.atleast_2d(x).shape[0])
-        return t * self.terminal_lookahead(t, x)
+        return self.lookahead_value_and_grad(t, x, False).value
 
     def grad(self, t: float, x: np.ndarray) -> np.ndarray:
         return self.lookahead_value_and_grad(t, x).grad
-
-    def value_and_grad(self, t: float, x: np.ndarray):
-        """(r_t(x), grad r_t(x)) with one look-ahead solve in flow-map mode."""
-        look = self.lookahead_value_and_grad(t, x)
-        return look.value, look.grad
 
     def lookahead_value_and_grad(self, t: float, x: np.ndarray, grad: bool = True) -> Lookahead:
         """The look-ahead record at (t, x) from one endpoint prediction.
@@ -196,25 +205,14 @@ class TimeDependentReward:
         ``terminal`` is r at the predicted endpoint at every t, t = 0 included.
         """
         x2 = np.atleast_2d(np.asarray(x, dtype=float))
+        end, jac = self._predict(t, x2, grad)
         if not grad:
-            terminal = self.terminal_lookahead(t, x2)
-            return Lookahead(terminal, t * terminal, None)
-        if self.mode == "naive" or (self.mode == "denoiser" and t == 1.0):
-            terminal = self.base.value(x2)
-            return Lookahead(terminal, t * terminal, t * self.base.grad(x2))
-        if self.mode == "denoiser":
-            dyn = self.path.dynamics(t, x2, jacobian="denoiser")
-            end, jac = dyn.denoiser, dyn.jacobian
-        elif self.mode == "flowmap_exact":
-            res = self.flow.flow_map_jacobian(t, 1.0, x2)
-            end, jac = np.atleast_2d(res.endpoint), res.jacobian
-        else:
-            res = self.flow.k_step_map_jacobian(t, 1.0, x2, self.k, self.k_scheme)
-            end, jac = np.atleast_2d(res.endpoint), res.jacobian
-        jac = jac.reshape(x2.shape[0], x2.shape[1], x2.shape[1])
-        terminal = self.base.value(end)
-        return Lookahead(terminal, t * terminal,
-                         t * np.einsum("nij,ni->nj", jac, self.base.grad(end)))
+            terminal = self.base.value(end)
+            return Lookahead(terminal, t * terminal)
+        terminal, g = self.base.value_and_grad(end)
+        if jac is not None:
+            g = np.einsum("nij,ni->nj", jac, g)
+        return Lookahead(terminal, t * terminal, t * g)
 
     def time_derivative(self, t: float, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
         """Central finite difference of r_t(x) in t; one-sided at the ends."""
@@ -222,6 +220,19 @@ class TimeDependentReward:
         if hi == lo:
             raise ValueError("degenerate finite-difference stencil")
         return (self.value(hi, x) - self.value(lo, x)) / (hi - lo)
+
+
+PROBES = ("gaussian", "rademacher")
+
+
+def _check_hutchinson(m_probes: int, eps: float, probe: str) -> None:
+    """Raise ValueError unless these are valid `hutchinson_laplacian` settings."""
+    if m_probes < 1:
+        raise ValueError("m_probes must be >= 1")
+    if not eps > 0:
+        raise ValueError("eps must be > 0")
+    if probe not in PROBES:
+        raise ValueError(f"unknown probe kind {probe!r}; expected one of {PROBES}")
 
 
 def hutchinson_laplacian(rt: TimeDependentReward, t: float, x: np.ndarray,
@@ -233,10 +244,7 @@ def hutchinson_laplacian(rt: TimeDependentReward, t: float, x: np.ndarray,
     Averages z . [grad r_t(x + eps z) - grad r_t(x - eps z)] / (2 eps) over
     random probes z (Gaussian or Rademacher).
     """
-    if m_probes < 1:
-        raise ValueError("m_probes must be >= 1")
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
+    _check_hutchinson(m_probes, eps, probe)
     rng = rng or np.random.default_rng()
     x2 = np.atleast_2d(np.asarray(x, dtype=float))
     n, d = x2.shape
@@ -244,10 +252,8 @@ def hutchinson_laplacian(rt: TimeDependentReward, t: float, x: np.ndarray,
     for _ in range(m_probes):
         if probe == "gaussian":
             z = rng.standard_normal((n, d))
-        elif probe == "rademacher":
-            z = rng.integers(0, 2, size=(n, d)) * 2.0 - 1.0
         else:
-            raise ValueError(f"unknown probe kind {probe!r}")
+            z = rng.integers(0, 2, size=(n, d)) * 2.0 - 1.0
         gp = rt.grad(t, x2 + eps * z)
         gm = rt.grad(t, x2 - eps * z)
         total += np.einsum("ni,ni->n", z, gp - gm)

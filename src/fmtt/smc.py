@@ -18,7 +18,7 @@ from scipy.special import logsumexp
 from .diagnostics import _log_moments
 from .errors import ConfigError, DegenerateEnsembleError
 from .mixtures import MixturePath
-from .rewards import TimeDependentReward
+from .rewards import TimeDependentReward, _check_hutchinson
 from .tilt import (CHI_CHOICES, WEIGHT_SCHEMES, DriftMultiplier, StepInput,
                    position_step, weight_step_expectation, weight_step_ito,
                    weight_step_laplacian, weight_step_simplified)
@@ -99,16 +99,17 @@ def _ancestors_systematic(probs: np.ndarray, rng: np.random.Generator) -> np.nda
     return np.searchsorted(np.cumsum(probs), u).clip(max=n - 1)
 
 
+RESAMPLE_METHODS = {"systematic": _ancestors_systematic,
+                    "multinomial": _ancestors_multinomial}
+
+
 def resample(ensemble: ParticleEnsemble, rng: np.random.Generator,
              scheme: str = "systematic") -> ParticleEnsemble:
     """Draw ancestors by the softmax of the log-weights; reset weights to 0."""
     probs = _normalized_weights(ensemble.logweights)
-    if scheme == "systematic":
-        idx = _ancestors_systematic(probs, rng)
-    elif scheme == "multinomial":
-        idx = _ancestors_multinomial(probs, rng)
-    else:
+    if scheme not in RESAMPLE_METHODS:
         raise ValueError(f"unknown resampling scheme {scheme!r}")
+    idx = RESAMPLE_METHODS[scheme](probs, rng)
     return ParticleEnsemble(ensemble.positions[idx], np.zeros(ensemble.size),
                             ensemble.n_particles, ensemble.clones,
                             ensemble.generation, idx)
@@ -167,6 +168,16 @@ class RunConfig:
                 raise ConfigError("simplified weights require chi = default")
             if not rt.is_flowmap():
                 raise ConfigError("simplified weights require a flow-map look-ahead reward")
+        if self.resample_method not in RESAMPLE_METHODS:
+            raise ConfigError(f"unknown resample method {self.resample_method!r}; "
+                              f"expected one of {sorted(RESAMPLE_METHODS)}")
+        if self.expectation_samples < 1:
+            raise ConfigError("expectation_samples must be >= 1")
+        try:
+            _check_hutchinson(self.hutchinson_probes, self.hutchinson_eps,
+                             self.hutchinson_probe)
+        except ValueError as exc:
+            raise ConfigError(f"hutchinson: {exc}") from exc
         kind = self.resampling.get("kind")
         if kind == "ess":
             tau = self.resampling.get("threshold", 0.85)

@@ -128,15 +128,19 @@ def _drift_bracket(inp: StepInput, rt: TimeDependentReward, path: MixturePath,
                    td_step: float = 1e-4):
     """Reward transport term D and grad r_t at (t, x).
 
-    In flow-map mode D = r(X_{t,1}(x)); otherwise D = b . grad r_t + d/dt r_t
-    with the time derivative by finite differences.
+    In flow-map mode D = r(X_{t,1}(x)); otherwise D = b . grad r_t + d/dt r_t,
+    where d/dt r_t = r(x) in naive mode (r_t = t r) and is a finite
+    difference in denoiser mode.
     """
     look = _lookahead(inp.lookahead, rt, inp.t, inp.x, True)
     if rt.is_flowmap():
         return look.terminal, look.grad
+    if rt.mode == "naive":
+        dr_dt = look.terminal
+    else:
+        dr_dt = rt.time_derivative(inp.t, inp.x, td_step)
     b = _dynamics(inp, path).velocity
-    d = np.einsum("ni,ni->n", b, look.grad) + rt.time_derivative(inp.t, inp.x, td_step)
-    return d, look.grad
+    return np.einsum("ni,ni->n", b, look.grad) + dr_dt, look.grad
 
 
 def weight_step_laplacian(inp: StepInput, chi: DriftMultiplier, rt: TimeDependentReward,

@@ -132,6 +132,41 @@ def test_invalid_values_rejected():
             ExperimentConfig.from_yaml(yaml.safe_dump(raw))
 
 
+# Each of these values once passed validation and crashed the run that reads it.
+VALUES_READ_MID_RUN = {
+    "ksteps-k0": lambda d: d["reward"].update(mode="flowmap_ksteps", k=0),
+    "hutchinson-probes-0": lambda d: d["run"].update(
+        weight_scheme="laplacian", hutchinson={"probes": 0}),
+    "hutchinson-eps-negative": lambda d: d["run"].update(
+        weight_scheme="laplacian", hutchinson={"eps": -1.0}),
+    "hutchinson-probe-uniform": lambda d: d["run"].update(
+        weight_scheme="laplacian", hutchinson={"probe": "uniform"}),
+    "expectation-samples-0": lambda d: d["run"].update(
+        weight_scheme="expectation", expectation_samples=0),
+    "resample-method-stratified": lambda d: d["run"].update(
+        resampling={"kind": "every", "r": 1}, resample_method="stratified"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUES_READ_MID_RUN))
+def test_values_read_mid_run_rejected_up_front(name):
+    raw = yaml.safe_load(FAST_SAMPLE)
+    VALUES_READ_MID_RUN[name](raw)
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_yaml(yaml.safe_dump(raw))
+
+
+def test_cli_value_read_mid_run_exits_2_before_running(tmp_path, capsys):
+    raw = yaml.safe_load(FAST_SAMPLE)
+    VALUES_READ_MID_RUN["hutchinson-probes-0"](raw)
+    cfg = _write(tmp_path, yaml.safe_dump(raw))
+    out = tmp_path / "o"
+    assert main(["sample", "--config", cfg, "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ConfigError" and "m_probes" in err["message"]
+    assert not out.exists()
+
+
 def test_resolved_yaml_roundtrips():
     cfg = ExperimentConfig.from_yaml(FAST_SAMPLE)
     again = ExperimentConfig.from_yaml(cfg.resolved_yaml())

@@ -5,6 +5,7 @@ from fmtt import (FlowMapEvaluator, GaussianMixture, LinearReward,
                   LogResponsibilityReward, MixturePath, QuadraticReward,
                   TimeDependentReward, ZeroReward, finite_diff_grad,
                   hutchinson_laplacian, standard_normal)
+from fmtt.rewards import MODES
 
 
 def std_path():
@@ -49,6 +50,14 @@ def test_log_responsibility_grad_matches_fd():
         assert np.max(np.abs(g - fd)) < 1e-6
 
 
+def test_value_and_grad_is_value_and_grad_bitwise():
+    x = np.array([[0.3, -0.2], [-1.0, 0.5], [9.0, 4.0]])
+    for r in (LogResponsibilityReward(two_mode(), 1, 0.1), QuadraticReward(0.3)):
+        value, grad = r.value_and_grad(x)
+        assert np.array_equal(value, r.value(x))
+        assert np.array_equal(grad, r.grad(x))
+
+
 def test_log_responsibility_component_range():
     with pytest.raises(ValueError):
         LogResponsibilityReward(two_mode(), 5)
@@ -83,6 +92,19 @@ def test_r0_zero_and_r1_identity_in_every_mode():
         rt = TimeDependentReward(base, mode, path)
         assert np.allclose(rt.value(0.0, x), 0.0)
         assert np.allclose(rt.value(1.0, x), base.value(x), atol=1e-9)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_views_read_the_lookahead_record(mode):
+    path = MixturePath(standard_normal(2), two_mode())
+    rt = TimeDependentReward(LogResponsibilityReward(two_mode(), 1, 0.1), mode, path)
+    x = np.array([[0.5, -1.0], [2.0, 0.3]])
+    for t in (0.0, 0.4, 1.0):
+        plain = rt.lookahead_value_and_grad(t, x, grad=False)
+        assert plain.grad is None
+        assert np.array_equal(rt.terminal_lookahead(t, x), plain.terminal)
+        assert np.array_equal(rt.value(t, x), plain.value)
+        assert np.array_equal(rt.grad(t, x), rt.lookahead_value_and_grad(t, x).grad)
 
 
 def test_time_derivative_examples():
@@ -135,6 +157,10 @@ def test_k_step_mode_error_decreases_with_k():
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
         TimeDependentReward(ZeroReward(), "psychic", std_path())
+    for k, scheme in ((0, "euler"), (4, "rk4")):
+        with pytest.raises(ValueError):
+            TimeDependentReward(ZeroReward(), "flowmap_ksteps", std_path(), k=k,
+                                k_scheme=scheme)
 
 
 def test_hutchinson_quadratic():

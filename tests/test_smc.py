@@ -264,6 +264,23 @@ class CountingFlow(FlowMapEvaluator):
         return super().flow_map_jacobian(s, t, x)
 
 
+class CountingReward(TimeDependentReward):
+    """Counts look-ahead evaluations and finite-difference time derivatives."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.lookaheads = 0
+        self.time_derivatives = 0
+
+    def lookahead_value_and_grad(self, t, x, grad=True):
+        self.lookaheads += 1
+        return super().lookahead_value_and_grad(t, x, grad)
+
+    def time_derivative(self, t, x, h=1e-4):
+        self.time_derivatives += 1
+        return super().time_derivative(t, x, h)
+
+
 def two_mode_path():
     target = GaussianMixture.isotropic([0.5, 0.5], [[-2.0, 0.0], [2.0, 0.0]], 0.25)
     return target, MixturePath(standard_normal(2), target,
@@ -350,3 +367,16 @@ def test_search_scores_are_the_lookahead_at_the_selected_states(monkeypatch):
     assert res.resample_steps == [4, 9] and len(seen) == 2
     for step, (positions, scores) in zip(res.resample_steps, seen):
         assert np.array_equal(scores, rt.value(res.times[step], positions))
+
+
+def test_naive_ito_run_reads_dr_dt_from_the_record():
+    # In naive mode d/dt r_t = r(x) is the record's terminal reward: one
+    # look-ahead per state (K + 1 in all) and no finite difference in t.
+    target, path = two_mode_path()
+    rt = CountingReward(LogResponsibilityReward(target, 1, 0.5), "naive", path)
+    cfg = RunConfig(n_particles=16, n_steps=8, chi="tilted_score", weight_scheme="ito",
+                    seed=4)
+    res = run(cfg, path, rt)
+    assert res.resample_steps != []
+    assert rt.time_derivatives == 0
+    assert rt.lookaheads == cfg.n_steps + 1
