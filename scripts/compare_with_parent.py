@@ -1,4 +1,4 @@
-"""Compare the flow maps and SMC runs of this tree with another revision.
+"""Compare the flow maps, SMC runs and CLI outputs of this tree with another revision.
 
 Usage, from the repository root:
 
@@ -13,12 +13,15 @@ Both compute the same outputs:
   inputs, s < t, s > t and s == t;
 - the final positions and log-weights of the exact-small and naive-wide
   benchmark workloads (built by `perfbench/workloads.py` of this tree) at
-  seeds 7 and 11.
+  seeds 7 and 11;
+- every file that `fmtt sample`, `refine` and `diagnose` write for the
+  refine-cli workload's config at smoke size (`perfbench/workloads.py`
+  `cli_config`) at seeds 7 and 11.
 
-Every output is reported as bitwise equal or with its largest absolute
-difference.  The exit code is 1 when an output listed as exact differs:
-everything but the naive-wide log-weights, whose d/dt r_t term may move in
-the last bits when the look-ahead changes how it is formed.
+Every output is reported as bitwise equal, or with its largest absolute
+difference (arrays) or as differing (files).  The exit code is 1 when an
+output differs, except `config_resolved.yaml`, which is only reported: its
+layout may change while the run it describes does not.
 """
 
 from __future__ import annotations
@@ -33,12 +36,14 @@ import numpy as np
 
 REPO = Path(__file__).resolve().parents[1]
 SEEDS = (7, 11)
-NOT_EXACT = tuple(f"naive-wide/{seed}/logweights" for seed in SEEDS)
+CLI_COMMANDS = ("sample", "refine", "diagnose")
+INFORMATIONAL = "config_resolved.yaml"
 
 
 def dump(out: str) -> None:
     """Compute every compared output with the `fmtt` on sys.path; save to out."""
     import fmtt
+    import fmtt.cli
     import workloads
     from spec import SIZES
 
@@ -73,6 +78,19 @@ def dump(out: str) -> None:
                 res = fmtt.run(cfg, ctx.path, ctx.rt)
                 arrays[f"{name}/{seed}/positions"] = res.ensemble.positions
                 arrays[f"{name}/{seed}/logweights"] = res.ensemble.logweights
+
+        config = Path(work) / "refine-cli.yaml"
+        config.write_text(workloads.cli_config(SIZES["refine-cli"]["smoke"]))
+        for seed in SEEDS:
+            for command in CLI_COMMANDS:
+                out_dir = Path(work) / f"{command}-{seed}"
+                code = fmtt.cli.main([command, "--config", str(config), "--seed", str(seed),
+                                      "--out", str(out_dir)])
+                if code != 0:
+                    raise SystemExit(f"fmtt {command} exited with {code}")
+                for file in sorted(out_dir.iterdir()):
+                    arrays[f"cli/{command}/{seed}/{file.name}"] = np.frombuffer(
+                        file.read_bytes(), dtype=np.uint8)
     np.savez(out, **arrays)
 
 
@@ -98,10 +116,15 @@ def main(other: str) -> int:
         if a.shape == b.shape and np.array_equal(a, b):
             print(f"bitwise equal  {key}")
             continue
-        diff = np.max(np.abs(a - b)) if a.shape == b.shape else f"shape {a.shape} vs {b.shape}"
-        exact = key not in NOT_EXACT
+        if key.startswith("cli/"):
+            diff = "the files differ"
+        elif a.shape == b.shape:
+            diff = f"max |diff| {np.max(np.abs(a - b))}"
+        else:
+            diff = f"shape {a.shape} vs {b.shape}"
+        exact = not key.endswith(INFORMATIONAL)
         failed += exact
-        print(f"{'DIFFERS' if exact else 'differs'}        {key}: max |diff| {diff}")
+        print(f"{'DIFFERS' if exact else 'differs'}        {key}: {diff}")
     print(f"{len(here)} outputs, {failed} that should be bitwise equal differ")
     return 1 if failed else 0
 

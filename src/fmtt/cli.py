@@ -21,7 +21,7 @@ from . import diagnostics as dg
 from .config import ExperimentConfig
 from .errors import ConfigError, DiagnosticsUndefinedError, FmttError
 from .oracles import gaussian_tilt_closed_form, snis_tilted_expectation
-from .smc import RunResult, run, weighted_expectation
+from .smc import RunResult, _normalized_weights, run
 from .verify import SUITES, run_suites
 
 
@@ -49,12 +49,14 @@ def _write_diagnostics_csv(path: Path, trace: dg.DiscrepancyTrace,
                              f"{profile.lambda_cum[k + 1]:.10g}"])
 
 
+def _write_schedule(path: Path, times) -> None:
+    path.write_text("schedule_times:\n" + "".join(f"- {t:.12g}\n" for t in times))
+
+
 def _weighted_mean_with_stderr(result: RunResult):
     """Self-normalized mean of each coordinate with a delta-method stderr."""
-    logw = result.ensemble.logweights
+    w = _normalized_weights(result.ensemble.logweights)
     pos = result.ensemble.positions
-    w = np.exp(logw - logw.max())
-    w = w / w.sum()
     mean = w @ pos
     var = np.einsum("n,ni->i", w**2, (pos - mean) ** 2)
     return mean, np.sqrt(var)
@@ -73,19 +75,15 @@ def _diagnostics_summary(trace: dg.DiscrepancyTrace) -> dict:
 def _oracle_comparison(cfg: ExperimentConfig, rng: np.random.Generator) -> dict | None:
     """Ground-truth tilted mean where an oracle applies: closed form for
     linear/quadratic tilts of a single-Gaussian target, SNIS otherwise."""
-    if cfg.reward_kind == "zero":
+    kind, params = cfg.reward["kind"], cfg.reward["params"]
+    if kind == "zero":
         return None
     if cfg.target.n_components == 1 and cfg.target.dim == 1:
         mu = float(cfg.target.means[0, 0])
         var = float(cfg.target.covariances[0, 0, 0])
-        if cfg.reward_kind == "linear":
-            lam = float(np.asarray(cfg.reward_params.get("coeffs", [1.0])).ravel()[0])
-            tilt = gaussian_tilt_closed_form(mu, var, linear=lam)
-            return {"kind": "closed_form", "oracle_mean": tilt.mean,
-                    "oracle_stderr": 0.0}
-        if cfg.reward_kind == "quadratic":
-            gam = float(cfg.reward_params.get("gamma", 1.0))
-            tilt = gaussian_tilt_closed_form(mu, var, quadratic=gam)
+        if kind in ("linear", "quadratic"):
+            strength = params["coeffs"][0] if kind == "linear" else params["gamma"]
+            tilt = gaussian_tilt_closed_form(mu, var, **{kind: strength})
             return {"kind": "closed_form", "oracle_mean": tilt.mean,
                     "oracle_stderr": 0.0}
     if cfg.target.dim <= 2:
@@ -96,10 +94,14 @@ def _oracle_comparison(cfg: ExperimentConfig, rng: np.random.Generator) -> dict 
     return None
 
 
-def _prepare(args):
+def _prepare(args, mode: str):
+    """Check the config, then make the output directory: a refused command
+    writes nothing."""
     cfg = ExperimentConfig.from_file(args.config, args.seed)
     if args.paper_literal:
         cfg = replace(cfg, run=replace(cfg.run, paper_literal=True))
+    if cfg.run.mode != mode:
+        raise ConfigError(f"{args.command} command requires mode: {mode}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config_resolved.yaml").write_text(cfg.resolved_yaml())
@@ -109,9 +111,7 @@ def _prepare(args):
 
 
 def cmd_sample(args) -> int:
-    cfg, out, path, rt = _prepare(args)
-    if cfg.run.mode != "sampling":
-        raise ConfigError("sample command requires mode: sampling")
+    cfg, out, path, rt = _prepare(args, "sampling")
     result = run(cfg.run, path, rt)
     _write_trace_csv(out / "trace.csv", result)
     summary = {"command": "sample", "seed": cfg.run.seed,
@@ -123,7 +123,7 @@ def cmd_sample(args) -> int:
     oracle = _oracle_comparison(cfg, np.random.default_rng(cfg.run.seed + 10**6))
     if oracle is not None:
         summary["oracle"] = oracle
-    if cfg.diagnostics_enabled:
+    if cfg.diagnostics["enabled"]:
         trace = dg.trace_from_run(result, cfg.run.paper_literal)
         _write_diagnostics_csv(out / "diagnostics.csv", trace,
                                dg.thermodynamic_length(trace))
@@ -133,9 +133,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_search(args) -> int:
-    cfg, out, path, rt = _prepare(args)
-    if cfg.run.mode != "searching":
-        raise ConfigError("search command requires mode: searching")
+    cfg, out, path, rt = _prepare(args, "searching")
     result = run(cfg.run, path, rt)
     _write_trace_csv(out / "trace.csv", result)
     terminal_rewards = rt.value(1.0, result.ensemble.positions)
@@ -168,7 +166,7 @@ def _run_seed(seed: int, rnd: int, j: int) -> int:
 
 def _estimate_trace(cfg: ExperimentConfig, path, rt, schedule_times, rnd: int):
     results = []
-    for j in range(cfg.diagnostics_runs):
+    for j in range(cfg.diagnostics["n_runs"]):
         rc = replace(cfg.run, schedule_times=schedule_times,
                      seed=_run_seed(cfg.run.seed, rnd, j))
         results.append(run(rc, path, rt))
@@ -176,29 +174,24 @@ def _estimate_trace(cfg: ExperimentConfig, path, rt, schedule_times, rnd: int):
 
 
 def cmd_diagnose(args) -> int:
-    cfg, out, path, rt = _prepare(args)
-    if cfg.run.mode != "sampling":
-        raise ConfigError("diagnose command requires mode: sampling")
+    cfg, out, path, rt = _prepare(args, "sampling")
     trace = _estimate_trace(cfg, path, rt, cfg.run.schedule_times, 0)
     profile = dg.thermodynamic_length(trace)
     _write_diagnostics_csv(out / "diagnostics.csv", trace, profile)
     refined = dg.refine_schedule(profile, cfg.run.n_steps)
     summary = {"command": "diagnose", "seed": cfg.run.seed,
-               "n_runs": cfg.diagnostics_runs, "flat_profile": refined.flat}
+               "n_runs": cfg.diagnostics["n_runs"], "flat_profile": refined.flat}
     summary.update(_diagnostics_summary(trace))
-    (out / "refined_schedule.yaml").write_text(
-        "schedule_times:\n" + "".join(f"- {t:.12g}\n" for t in refined.times))
+    _write_schedule(out / "refined_schedule.yaml", refined.times)
     (out / "summary.json").write_text(json.dumps(summary, indent=2))
     return 0
 
 
 def cmd_refine(args) -> int:
-    cfg, out, path, rt = _prepare(args)
-    if cfg.run.mode != "sampling":
-        raise ConfigError("refine command requires mode: sampling")
+    cfg, out, path, rt = _prepare(args, "sampling")
     times = cfg.run.schedule_times
     rounds = []
-    for rnd in range(cfg.refinement_rounds):
+    for rnd in range(cfg.diagnostics["refinement_rounds"]):
         trace = _estimate_trace(cfg, path, rt, times, rnd)
         profile = dg.thermodynamic_length(trace)
         entry = {"round": rnd, "flat_profile": False}
@@ -210,8 +203,7 @@ def cmd_refine(args) -> int:
             break
         times = refined.times
     final = np.linspace(0.0, 1.0, cfg.run.n_steps + 1) if times is None else times
-    (out / "refined_schedule.yaml").write_text(
-        "schedule_times:\n" + "".join(f"- {t:.12g}\n" for t in final))
+    _write_schedule(out / "refined_schedule.yaml", final)
     summary = {"command": "refine", "seed": cfg.run.seed, "rounds": rounds}
     (out / "summary.json").write_text(json.dumps(summary, indent=2))
     return 0

@@ -52,7 +52,7 @@ class LinearReward(Reward):
 class QuadraticReward(Reward):
     """r(x) = -gamma * ||x||^2 / 2"""
 
-    gamma: float = 1.0
+    gamma: float
 
     def value(self, x):
         x2 = np.atleast_2d(x)

@@ -124,6 +124,11 @@ def top_n_select(ensemble: ParticleEnsemble, scores: np.ndarray, n: int) -> Part
                             n, ensemble.clones, ensemble.generation, idx)
 
 
+# Keys of each resampling kind and their defaults; a type marks a required value.
+RESAMPLING = {"ess": {"threshold": 0.85}, "every": {"r": int},
+              "at_steps": {"steps": [int]}, "never": {}}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Configuration of one SMC run."""
@@ -135,7 +140,7 @@ class RunConfig:
     mode: str = "sampling"
     chi: str = "default"
     weight_scheme: str = "simplified"
-    resampling: dict = field(default_factory=lambda: {"kind": "ess", "threshold": 0.85})
+    resampling: dict = field(default_factory=lambda: {"kind": "ess", **RESAMPLING["ess"]})
     resample_method: str = "systematic"
     expectation_samples: int = 16
     hutchinson_probes: int = 64
@@ -179,20 +184,17 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(f"hutchinson: {exc}") from exc
         kind = self.resampling.get("kind")
-        if kind == "ess":
-            tau = self.resampling.get("threshold", 0.85)
-            if not 0.0 < tau <= 1.0:
-                raise ConfigError("ESS threshold must lie in (0, 1]")
-        elif kind == "every":
-            r = self.resampling.get("r")
-            if not (isinstance(r, int) and r >= 1 and self.n_steps % r == 0):
-                raise ConfigError("periodic resampling interval must divide n_steps")
-        elif kind == "at_steps":
-            steps = self.resampling.get("steps", [])
-            if any(not 1 <= s <= self.n_steps for s in steps):
-                raise ConfigError("explicit resampling steps must lie in [1, n_steps]")
-        elif kind != "never":
+        if kind not in RESAMPLING:
             raise ConfigError(f"unknown resampling kind {kind!r}")
+        spec = {**RESAMPLING[kind], **self.resampling}
+        if kind == "ess" and not 0.0 < spec["threshold"] <= 1.0:
+            raise ConfigError("ESS threshold must lie in (0, 1]")
+        if kind == "every" and not (isinstance(spec["r"], int) and spec["r"] >= 1
+                                    and self.n_steps % spec["r"] == 0):
+            raise ConfigError("periodic resampling interval must divide n_steps")
+        if kind == "at_steps" and not all(isinstance(s, int) and 1 <= s <= self.n_steps
+                                          for s in spec["steps"]):
+            raise ConfigError("explicit resampling steps must lie in [1, n_steps]")
         self.times()
 
 
@@ -277,8 +279,8 @@ def run(cfg: RunConfig, path: MixturePath, rt: TimeDependentReward) -> RunResult
     resample_log_means: list[float] = []
     log_z_events = 0.0
 
-    kind = cfg.resampling.get("kind")
-    explicit = set(cfg.resampling.get("steps", [])) if kind == "at_steps" else set()
+    kind = cfg.resampling["kind"]
+    spec = {**RESAMPLING[kind], **cfg.resampling}
 
     for k in range(1, K + 1):
         t, t_next = ts[k - 1], ts[k]
@@ -316,11 +318,11 @@ def run(cfg: RunConfig, path: MixturePath, rt: TimeDependentReward) -> RunResult
         if kind == "never":
             trigger = False
         elif kind == "ess":
-            trigger = ess_hist[k - 1] < cfg.resampling.get("threshold", 0.85) * total
+            trigger = ess_hist[k - 1] < spec["threshold"] * total
         elif kind == "every":
-            trigger = k % cfg.resampling["r"] == 0
+            trigger = k % spec["r"] == 0
         else:
-            trigger = k in explicit
+            trigger = k in spec["steps"]
         if trigger:
             resample_steps.append(k)
             resample_log_means.append(log_mean_w)

@@ -118,14 +118,23 @@ def test_thread_cap_is_set_before_numpy_is_imported():
     assert out.stdout.split() == ["1", "1"]
 
 
+INVALID_VALUES = (
+    lambda d: d.update(seed=-1),
+    lambda d: d["schedule"].update(kind="cosine"),
+    lambda d: d["reward"].update(kind="neural"),
+    lambda d: d["run"].update(mode="browsing"),
+    lambda d: d["run"].update(weight_scheme="simplified"),
+    # Each of these was once converted or ignored without a word.
+    lambda d: d["run"].update(n_particles=2.7),
+    lambda d: d["run"].update(paper_literal="false"),
+    lambda d: d.update(diagnostics={"enabled": "false"}),
+    lambda d: d.update(seed=True),
+    lambda d: d["run"].update(resampling={"kind": "every", "r": 5, "threshold": 0.3}),
+)
+
+
 def test_invalid_values_rejected():
-    for mutate in (
-        lambda d: d.update(seed=-1),
-        lambda d: d["schedule"].update(kind="cosine"),
-        lambda d: d["reward"].update(kind="neural"),
-        lambda d: d["run"].update(mode="browsing"),
-        lambda d: d["run"].update(weight_scheme="simplified"),
-    ):
+    for mutate in INVALID_VALUES:
         raw = yaml.safe_load(FAST_SAMPLE)
         mutate(raw)
         with pytest.raises(ConfigError):
@@ -145,6 +154,13 @@ VALUES_READ_MID_RUN = {
         weight_scheme="expectation", expectation_samples=0),
     "resample-method-stratified": lambda d: d["run"].update(
         resampling={"kind": "every", "r": 1}, resample_method="stratified"),
+    "n-particles-many": lambda d: d["run"].update(n_particles="many"),
+    "at-steps-not-a-list": lambda d: d["run"].update(
+        resampling={"kind": "at_steps", "steps": 3}),
+    "threshold-string": lambda d: d["run"].update(
+        resampling={"kind": "ess", "threshold": "0.5"}),
+    "diagnostics-n-runs-0": lambda d: d.update(diagnostics={"n_runs": 0}),
+    "coeffs-longer-than-target": lambda d: d["reward"].update(params={"coeffs": [1, 2]}),
 }
 
 
@@ -157,21 +173,35 @@ def test_values_read_mid_run_rejected_up_front(name):
 
 
 def test_cli_value_read_mid_run_exits_2_before_running(tmp_path, capsys):
-    raw = yaml.safe_load(FAST_SAMPLE)
-    VALUES_READ_MID_RUN["hutchinson-probes-0"](raw)
-    cfg = _write(tmp_path, yaml.safe_dump(raw))
-    out = tmp_path / "o"
-    assert main(["sample", "--config", cfg, "--out", str(out)]) == 2
-    err = json.loads(capsys.readouterr().err.strip())
-    assert err["error"] == "ConfigError" and "m_probes" in err["message"]
-    assert not out.exists()
+    mutations = {**VALUES_READ_MID_RUN, **dict(enumerate(INVALID_VALUES))}
+    for name, mutate in mutations.items():
+        raw = yaml.safe_load(FAST_SAMPLE)
+        mutate(raw)
+        cfg = _write(tmp_path, yaml.safe_dump(raw))
+        out = tmp_path / "o"
+        assert main(["sample", "--config", cfg, "--out", str(out)]) == 2, name
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError", name
+        assert name != "hutchinson-probes-0" or "m_probes" in err["message"]
+        assert not out.exists(), name
 
 
 def test_resolved_yaml_roundtrips():
     cfg = ExperimentConfig.from_yaml(FAST_SAMPLE)
     again = ExperimentConfig.from_yaml(cfg.resolved_yaml())
     assert again.run == cfg.run
-    assert again.reward_kind == cfg.reward_kind
+    assert again.reward == cfg.reward
+    scheduled = yaml.safe_load(FAST_SAMPLE)
+    scheduled["schedule"]["epsilon"] = 0.5
+    scheduled["run"].update(schedule_times=(np.linspace(0.0, 1.0, 31) ** 2).tolist(),
+                            weight_scheme="laplacian",
+                            hutchinson={"probes": 4, "eps": 0.01})
+    for text in (FAST_SAMPLE, SEARCH, yaml.safe_dump(scheduled)):
+        snapshot = ExperimentConfig.from_yaml(text).resolved_yaml()
+        assert ExperimentConfig.from_yaml(snapshot).resolved_yaml() == snapshot
+    run = yaml.safe_load(snapshot)["run"]
+    assert run["schedule_times"] == scheduled["run"]["schedule_times"]
+    assert run["hutchinson"] == {"probes": 4, "eps": 0.01, "probe": "gaussian"}
 
 
 def _write(tmp_path, text, name="cfg.yaml"):
@@ -229,6 +259,7 @@ def test_cli_search_outputs(tmp_path):
 def test_cli_search_rejects_sampling_config(tmp_path):
     cfg = _write(tmp_path, FAST_SAMPLE)
     assert main(["search", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_diagnose_and_refine(tmp_path):
