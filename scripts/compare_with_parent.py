@@ -14,6 +14,12 @@ Both compute the same outputs:
 - the final positions and log-weights of the exact-small and naive-wide
   benchmark workloads (built by `perfbench/workloads.py` of this tree) at
   seeds 7 and 11;
+- a grid of short SMC runs (n = 16, K = 8, 4 Hutchinson probes, 4
+  expectation samples, seed 7) on the 2-D two-mode target: every look-ahead
+  mode x {simplified (flow-map modes only), laplacian, ito, expectation}
+  weights x chi in {default, local_tilt, base} (simplified: default only),
+  each with its final positions and log-weights, log Z history and
+  log-moments;
 - every file that `fmtt sample`, `refine` and `diagnose` write for the
   refine-cli workload's config at smoke size (`perfbench/workloads.py`
   `cli_config`) at seeds 7 and 11.
@@ -37,6 +43,9 @@ import numpy as np
 REPO = Path(__file__).resolve().parents[1]
 SEEDS = (7, 11)
 CLI_COMMANDS = ("sample", "refine", "diagnose")
+GRID_MODES = ("naive", "denoiser", "flowmap_ksteps", "flowmap_exact")
+GRID_SCHEMES = ("simplified", "laplacian", "ito", "expectation")
+GRID_CHIS = ("default", "local_tilt", "base")
 INFORMATIONAL = "config_resolved.yaml"
 
 
@@ -66,6 +75,25 @@ def dump(out: str) -> None:
                     res = ev.k_step_map_jacobian(s, t, x, k, scheme)
                     arrays[f"k_step_map_jacobian/{kkey}/endpoint"] = res.endpoint
                     arrays[f"k_step_map_jacobian/{kkey}/jacobian"] = res.jacobian
+
+    target = fmtt.GaussianMixture.isotropic([0.5, 0.5], [[-2.0, 0.0], [2.0, 0.0]], 0.25)
+    path = fmtt.MixturePath(fmtt.standard_normal(2), target,
+                            fmtt.InterpolantSchedule.linear(eta_offset=0.05))
+    reward = fmtt.LogResponsibilityReward(target, component=1, scale=0.1)
+    for mode in GRID_MODES:
+        rt = fmtt.TimeDependentReward(reward, mode, path)
+        for scheme in GRID_SCHEMES:
+            if scheme == "simplified" and not rt.is_flowmap():
+                continue
+            for chi in ("default",) if scheme == "simplified" else GRID_CHIS:
+                cfg = fmtt.RunConfig(n_particles=16, n_steps=8, chi=chi, weight_scheme=scheme,
+                                     hutchinson_probes=4, expectation_samples=4, seed=7)
+                res = fmtt.run(cfg, path, rt)
+                key = f"grid/{mode}/{scheme}/{chi}"
+                arrays[f"{key}/positions"] = res.ensemble.positions
+                arrays[f"{key}/logweights"] = res.ensemble.logweights
+                arrays[f"{key}/log_z_history"] = res.log_z_history
+                arrays[f"{key}/log_moments"] = res.log_moments
 
     with tempfile.TemporaryDirectory() as work:
         for name, chi, scheme in (("exact-small", "default", "simplified"),

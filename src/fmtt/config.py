@@ -14,7 +14,6 @@ import numpy as np
 import yaml
 
 from .errors import ConfigError
-from .flowmap import FlowMapEvaluator
 from .mixtures import GaussianMixture, MixturePath, standard_normal
 from .rewards import (LinearReward, LogResponsibilityReward, QuadraticReward,
                       Reward, TimeDependentReward, ZeroReward)
@@ -107,12 +106,12 @@ def _mixture_from_block(block, where: str) -> GaussianMixture:
             return standard_normal(1)
         raise ConfigError(f"{where}: unknown mixture shorthand {block!r}")
     _check_keys(block, {"weights", "means", "covariances", "standard_normal_dim"}, where)
-    if "standard_normal_dim" in block:
-        if len(block) != 1:
-            raise ConfigError(f"{where}: standard_normal_dim excludes other keys")
-        return standard_normal(_resolve(block["standard_normal_dim"], 1,
-                                        f"{where}.standard_normal_dim"))
     try:
+        if "standard_normal_dim" in block:
+            if len(block) != 1:
+                raise ConfigError(f"{where}: standard_normal_dim excludes other keys")
+            return standard_normal(_resolve(block["standard_normal_dim"], 1,
+                                            f"{where}.standard_normal_dim"))
         return GaussianMixture.from_dict(block)
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
@@ -166,7 +165,9 @@ class ExperimentConfig:
         cfg = cls(base, target, schedule, _run_config(raw.get("run", {}), seed),
                   reward, diagnostics)
         # Fail early on invariants that would otherwise surface mid-run.
-        cfg.run.validate(cfg.build_reward(cfg.build_path()))
+        path = cfg.build_path()
+        cfg.run.validate(cfg.build_reward(path))
+        cfg.run.check_knots(path)
         return cfg
 
     @classmethod
@@ -191,11 +192,9 @@ class ExperimentConfig:
                 "quadratic": QuadraticReward}[kind](**params)
 
     def build_reward(self, path: MixturePath) -> TimeDependentReward:
-        flow = (FlowMapEvaluator(path, rel_tol=1e-7, abs_tol=1e-9)
-                if self.reward["mode"].startswith("flowmap") else None)
         try:
             return TimeDependentReward(self.build_base_reward(), self.reward["mode"],
-                                       path, flow, self.reward["k"])
+                                       path, k=self.reward["k"])
         except ValueError as exc:
             raise ConfigError(f"reward: {exc}") from exc
 

@@ -12,17 +12,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DiagnosticsUndefinedError
+from .mixtures import _logsumexp
 
-_LN = np.log
 _POWERS = np.arange(3.0)[:, None]
 
 
 def _log_moments(log_w: np.ndarray, log_g: np.ndarray) -> np.ndarray:
     """log sum_n w_n g_n^i for i = 0, 1, 2, from log w and log g."""
-    return logsumexp(log_w + _POWERS * log_g, axis=1)
+    return _logsumexp(log_w + _POWERS * log_g, axis=1)
+
+
+def _check_inputs(n: int, log_g_finite) -> None:
+    """Raise ValueError unless the discrepancy has n >= 2 particles (n = 0
+    stands for arrays of different shapes) and every log g is finite."""
+    if n < 2:
+        raise ValueError("need matching arrays with at least 2 particles")
+    if not np.all(log_g_finite):
+        raise ValueError("incremental weights must be positive and finite")
 
 
 def _discrepancy(g: np.ndarray, paper_literal: bool) -> float:
@@ -42,10 +50,7 @@ def incremental_discrepancy_log(log_w_prev: np.ndarray, log_g: np.ndarray,
     """
     lw = np.asarray(log_w_prev, dtype=float)
     lg = np.asarray(log_g, dtype=float)
-    if lw.shape != lg.shape or lw.shape[0] < 2:
-        raise ValueError("need matching arrays with at least 2 particles")
-    if not np.all(np.isfinite(lg)):
-        raise ValueError("incremental weights must be positive and finite")
+    _check_inputs(lw.shape[0] if lw.shape == lg.shape else 0, np.isfinite(lg))
     return _discrepancy(_log_moments(lw, lg), paper_literal)
 
 
@@ -58,7 +63,7 @@ def incremental_discrepancy(weights_prev: np.ndarray, g: np.ndarray,
         raise ValueError("incremental weights must be strictly positive")
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative")
-    return incremental_discrepancy_log(_LN(w), _LN(g), paper_literal)
+    return incremental_discrepancy_log(np.log(w), np.log(g), paper_literal)
 
 
 @dataclass(frozen=True)
@@ -88,13 +93,9 @@ class DiscrepancyTrace:
 def trace_from_run(result, paper_literal: bool = False) -> DiscrepancyTrace:
     """Per-step discrepancies from one SMC run trace (its streamed
     log-moments; see `incremental_discrepancy_log`)."""
-    n = result.ensemble.size
-    if n < 2:
-        raise ValueError("need matching arrays with at least 2 particles")
-    if not np.all(result.log_g_finite):
-        raise ValueError("incremental weights must be positive and finite")
+    _check_inputs(result.ensemble.size, result.log_g_finite)
     d = np.array([_discrepancy(g, paper_literal) for g in result.log_moments])
-    return DiscrepancyTrace(d, result.times, 1, n)
+    return DiscrepancyTrace(d, result.times, 1, result.ensemble.size)
 
 
 def trace_from_runs(results, paper_literal: bool = False) -> DiscrepancyTrace:
@@ -102,17 +103,15 @@ def trace_from_runs(results, paper_literal: bool = False) -> DiscrepancyTrace:
     combined with the runs' normalization estimates as relative weights."""
     if len(results) == 0:
         raise ValueError("need at least one run")
+    for res in results:
+        _check_inputs(res.ensemble.size, res.log_g_finite)
     if len(results) == 1:
         return trace_from_run(results[0], paper_literal)
-    K = results[0].log_moments.shape[0]
-    d = np.empty(K)
-    for k in range(K):
-        log_moments = np.empty((len(results), 3))
-        for j, res in enumerate(results):
-            g = res.log_moments[k]
-            log_z = 0.0 if k == 0 else float(res.log_z_history[k - 1])
-            log_moments[j] = log_z + g - g[0]
-        d[k] = _discrepancy(logsumexp(log_moments, axis=0), paper_literal)
+    # (runs, K, 3): each run's moments at step k, weighted by its log Z at k - 1
+    g = np.stack([res.log_moments for res in results])
+    log_z = np.stack([np.concatenate([[0.0], res.log_z_history[:-1]]) for res in results])
+    d = np.array([_discrepancy(m, paper_literal)
+                  for m in _logsumexp(log_z[..., None] + g - g[..., :1])])
     return DiscrepancyTrace(d, results[0].times, len(results), results[0].ensemble.size)
 
 

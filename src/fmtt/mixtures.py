@@ -31,6 +31,14 @@ def _factor(covs: np.ndarray):
     return chols, np.linalg.inv(chols), logdets
 
 
+def _logsumexp(a: np.ndarray, axis: int = 0) -> np.ndarray:
+    """log sum exp(a) along ``axis``, shifted by the finite maxima; NaN, +inf
+    and all -inf give NaN, +inf and -inf."""
+    m = np.max(a, axis=axis, keepdims=True)
+    m[~np.isfinite(m)] = 0.0
+    return np.log(np.sum(np.exp(a - m), axis=axis)) + np.squeeze(m, axis)
+
+
 def _kernel(x: np.ndarray, log_w: np.ndarray, means: np.ndarray,
             inv_chols: np.ndarray, logdets: np.ndarray):
     """Posterior of rows x (n, d) under k weighted Gaussians given by their
@@ -42,9 +50,7 @@ def _kernel(x: np.ndarray, log_w: np.ndarray, means: np.ndarray,
     half = (x - means[:, None, :]) @ inv_chols.swapaxes(1, 2)
     quad = np.einsum("kni,kni->kn", half, half)
     logjoint = log_w[:, None] - 0.5 * (x.shape[1] * _LOG_2PI + logdets[:, None] + quad)
-    m = np.max(logjoint, axis=0)
-    m[~np.isfinite(m)] = 0.0
-    log_density = np.log(np.sum(np.exp(logjoint - m), axis=0)) + m
+    log_density = _logsumexp(logjoint)
     return logjoint - log_density, log_density, half
 
 
@@ -66,8 +72,8 @@ class GaussianMixture:
         object.__setattr__(self, "means", m)
         object.__setattr__(self, "covariances", c)
         k, d = m.shape
-        if w.shape != (k,) or c.shape != (k, d, d):
-            raise ValueError("inconsistent mixture shapes")
+        if d < 1 or w.shape != (k,) or c.shape != (k, d, d):
+            raise ValueError("mixture shapes must be (k,), (k, d) and (k, d, d) with d >= 1")
         if np.any(w <= 0):
             raise ValueError("mixture weights must be strictly positive")
         if abs(w.sum() - 1.0) > 1e-12:
@@ -90,11 +96,6 @@ class GaussianMixture:
     @property
     def dim(self) -> int:
         return self.means.shape[1]
-
-    @property
-    def cholesky_factors(self) -> np.ndarray:
-        """Lower-triangular Cholesky factors, one per component."""
-        return self._chols
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw n i.i.d. samples; deterministic for a fixed generator state."""

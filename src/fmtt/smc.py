@@ -13,15 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .diagnostics import _log_moments
-from .errors import ConfigError, DegenerateEnsembleError
-from .mixtures import MixturePath
+from .errors import (ConfigError, DegenerateEnsembleError, ScheduleDomainError,
+                     SchemeCompatibilityError)
+from .mixtures import MixturePath, _logsumexp
 from .rewards import TimeDependentReward, _check_hutchinson
 from .tilt import (CHI_CHOICES, WEIGHT_SCHEMES, DriftMultiplier, StepInput,
-                   position_step, weight_step_expectation, weight_step_ito,
-                   weight_step_laplacian, weight_step_simplified)
+                   _ito_coefficient, position_step, weight_step_expectation,
+                   weight_step_ito, weight_step_laplacian, weight_step_simplified)
 
 
 @dataclass
@@ -36,7 +36,6 @@ class ParticleEnsemble:
     logweights: np.ndarray
     n_particles: int
     clones: int = 1
-    generation: int = 0
     ancestors: np.ndarray | None = None
 
     def __post_init__(self):
@@ -111,8 +110,7 @@ def resample(ensemble: ParticleEnsemble, rng: np.random.Generator,
         raise ValueError(f"unknown resampling scheme {scheme!r}")
     idx = RESAMPLE_METHODS[scheme](probs, rng)
     return ParticleEnsemble(ensemble.positions[idx], np.zeros(ensemble.size),
-                            ensemble.n_particles, ensemble.clones,
-                            ensemble.generation, idx)
+                            ensemble.n_particles, ensemble.clones, idx)
 
 
 def top_n_select(ensemble: ParticleEnsemble, scores: np.ndarray, n: int) -> ParticleEnsemble:
@@ -121,7 +119,7 @@ def top_n_select(ensemble: ParticleEnsemble, scores: np.ndarray, n: int) -> Part
     order = np.argsort(-np.asarray(scores, dtype=float), kind="stable")
     idx = np.repeat(np.sort(order[:n]), ensemble.clones)
     return ParticleEnsemble(ensemble.positions[idx], np.zeros(n * ensemble.clones),
-                            n, ensemble.clones, ensemble.generation, idx)
+                            n, ensemble.clones, idx)
 
 
 # Keys of each resampling kind and their defaults; a type marks a required value.
@@ -187,15 +185,29 @@ class RunConfig:
         if kind not in RESAMPLING:
             raise ConfigError(f"unknown resampling kind {kind!r}")
         spec = {**RESAMPLING[kind], **self.resampling}
-        if kind == "ess" and not 0.0 < spec["threshold"] <= 1.0:
-            raise ConfigError("ESS threshold must lie in (0, 1]")
+        if kind == "ess" and not (isinstance(spec["threshold"], (int, float))
+                                  and 0.0 < spec["threshold"] <= 1.0):
+            raise ConfigError("ESS threshold must be a number in (0, 1]")
         if kind == "every" and not (isinstance(spec["r"], int) and spec["r"] >= 1
                                     and self.n_steps % spec["r"] == 0):
             raise ConfigError("periodic resampling interval must divide n_steps")
-        if kind == "at_steps" and not all(isinstance(s, int) and 1 <= s <= self.n_steps
-                                          for s in spec["steps"]):
-            raise ConfigError("explicit resampling steps must lie in [1, n_steps]")
+        if kind == "at_steps" and not (isinstance(spec["steps"], (list, tuple)) and all(
+                isinstance(s, int) and 1 <= s <= self.n_steps for s in spec["steps"])):
+            raise ConfigError("explicit resampling steps must be a list in [1, n_steps]")
         self.times()
+
+    def check_knots(self, path: MixturePath) -> None:
+        """Evaluate at every knot what the run reads of the path's schedule:
+        epsilon (ValueError where negative), chi and the ito coefficient."""
+        chi, schedule = DriftMultiplier(self.chi), path.schedule
+        for t in self.times():
+            eps = schedule.checked_epsilon(t)
+            try:
+                c = chi.value(schedule, t)
+                if self.weight_scheme == "ito":
+                    _ito_coefficient(c, eps, t)
+            except (ScheduleDomainError, SchemeCompatibilityError) as exc:
+                raise ConfigError(f"chi {self.chi}: {exc}") from exc
 
 
 @dataclass
@@ -235,8 +247,7 @@ def _step_rng(seed: int, step: int, channel: int) -> np.random.Generator:
 def z_smc(result: RunResult, k: int | None = None) -> float:
     """Unbiased normalization estimate at step k (product of pre-reset mean
     weights over earlier resampling events, times the current mean weight)."""
-    lz = result.log_z(k)
-    return float(np.exp(lz))
+    return float(np.exp(result.log_z(k)))
 
 
 def run(cfg: RunConfig, path: MixturePath, rt: TimeDependentReward) -> RunResult:
@@ -248,10 +259,9 @@ def run(cfg: RunConfig, path: MixturePath, rt: TimeDependentReward) -> RunResult
     selection gather along with the states.
     """
     cfg.validate(rt)
+    cfg.check_knots(path)
     ts = cfg.times()
     sched = path.schedule
-    for t in ts:
-        sched.checked_epsilon(t)
     chi = DriftMultiplier(cfg.chi)
     n, c = cfg.n_particles, cfg.clones
     total = n * c
@@ -306,10 +316,10 @@ def run(cfg: RunConfig, path: MixturePath, rt: TimeDependentReward) -> RunResult
         log_g = a_next - ens.logweights
         log_moments[k - 1] = _log_moments(ens.logweights, log_g)
         log_g_finite[k - 1] = np.isfinite(log_g).all()
-        ens = ParticleEnsemble(x_next, a_next, n, c, k)
+        ens = ParticleEnsemble(x_next, a_next, n, c)
 
         ess_hist[k - 1] = ess(ens.logweights)
-        log_mean_w = float(logsumexp(ens.logweights) - np.log(total))
+        log_mean_w = float(_logsumexp(ens.logweights) - np.log(total))
         log_z_hist[k - 1] = log_z_events + log_mean_w
         mean_r_hist[k - 1] = float(np.mean(look.value))
 

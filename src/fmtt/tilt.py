@@ -15,10 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import SchemeCompatibilityError
-from .mixtures import DynamicsAt, MixturePath
+from .mixtures import DynamicsAt, MixturePath, _logsumexp
 from .rewards import Lookahead, TimeDependentReward, hutchinson_laplacian
 
 CHI_CHOICES = ("default", "tilted_score", "local_tilt", "base")
@@ -124,23 +123,27 @@ def weight_step_simplified(inp: StepInput, rt: TimeDependentReward) -> np.ndarra
     return inp.logweight + inp.dt * look.terminal
 
 
-def _drift_bracket(inp: StepInput, rt: TimeDependentReward, path: MixturePath,
-                   td_step: float = 1e-4):
-    """Reward transport term D and grad r_t at (t, x).
+def _increment(inp: StepInput, c: float, rt: TimeDependentReward, path: MixturePath,
+               lap: np.ndarray | float = 0.0):
+    """Euler log-weight increment D + c * (||grad r_t||^2 + lap + grad r_t . s_t)
+    and grad r_t at (t, x).
 
-    In flow-map mode D = r(X_{t,1}(x)); otherwise D = b . grad r_t + d/dt r_t,
-    where d/dt r_t = r(x) in naive mode (r_t = t r) and is a finite
-    difference in denoiser mode.
+    D = r(X_{t,1}(x)) with the exact flow map; otherwise D = b . grad r_t +
+    d/dt r_t, where d/dt r_t = r(x) in naive mode (r_t = t r) and is a finite
+    difference in denoiser and k-step mode.
     """
     look = _lookahead(inp.lookahead, rt, inp.t, inp.x, True)
-    if rt.is_flowmap():
-        return look.terminal, look.grad
-    if rt.mode == "naive":
-        dr_dt = look.terminal
+    grad = look.grad
+    if rt.mode == "flowmap_exact":
+        incr = look.terminal
     else:
-        dr_dt = rt.time_derivative(inp.t, inp.x, td_step)
-    b = _dynamics(inp, path).velocity
-    return np.einsum("ni,ni->n", b, look.grad) + dr_dt, look.grad
+        dr_dt = look.terminal if rt.mode == "naive" else rt.time_derivative(inp.t, inp.x)
+        incr = np.einsum("ni,ni->n", _dynamics(inp, path).velocity, grad) + dr_dt
+    if c != 0.0:
+        score = _dynamics(inp, path).score
+        incr = incr + c * (np.einsum("ni,ni->n", grad, grad) + lap
+                           + np.einsum("ni,ni->n", grad, score))
+    return incr, grad
 
 
 def weight_step_laplacian(inp: StepInput, chi: DriftMultiplier, rt: TimeDependentReward,
@@ -153,14 +156,9 @@ def weight_step_laplacian(inp: StepInput, chi: DriftMultiplier, rt: TimeDependen
     the Laplacian estimate is skipped entirely when chi = 0.
     """
     c = chi.value(path.schedule, inp.t)
-    d, grad = _drift_bracket(inp, rt, path)
-    incr = d
-    if c != 0.0:
-        score = _dynamics(inp, path).score
-        lap = hutchinson_laplacian(rt, inp.t, inp.x, m_probes, probe_eps, rng, probe)
-        incr = incr + c * (np.einsum("ni,ni->n", grad, grad) + lap
-                           + np.einsum("ni,ni->n", grad, score))
-    return inp.logweight + inp.dt * incr
+    lap = 0.0 if c == 0.0 else hutchinson_laplacian(rt, inp.t, inp.x, m_probes, probe_eps,
+                                                     rng, probe)
+    return inp.logweight + inp.dt * _increment(inp, c, rt, path, lap)[0]
 
 
 def _ito_coefficient(c: float, eps: float, t: float) -> float:
@@ -186,12 +184,7 @@ def weight_step_ito(inp: StepInput, chi: DriftMultiplier, rt: TimeDependentRewar
     sched = path.schedule
     c_t = chi.value(sched, inp.t)
     c_tn = chi.value(sched, inp.t_next)
-    d, grad = _drift_bracket(inp, rt, path)
-    incr = d
-    if c_t != 0.0:
-        score = _dynamics(inp, path).score
-        incr = incr + c_t * (np.einsum("ni,ni->n", grad, grad)
-                             + np.einsum("ni,ni->n", grad, score))
+    incr, grad = _increment(inp, c_t, rt, path)
     out = inp.logweight + inp.dt * incr
     sq = np.sqrt(inp.dt)
     coef_fwd = _ito_coefficient(c_tn, sched.epsilon(inp.t_next), inp.t_next)
@@ -220,13 +213,13 @@ def weight_step_expectation(inp: StepInput, chi: DriftMultiplier, rt: TimeDepend
     """
     if m_samples < 1:
         raise ValueError("m_samples must be >= 1")
-    sched = path.schedule
-    c = chi.value(sched, inp.t)
+    c = chi.value(path.schedule, inp.t)
     dyn = _dynamics(inp, path)
     r_here = rt.value(inp.t, inp.x) if inp.lookahead is None else inp.lookahead.value
-    if c == 0.0:
-        y = inp.x + inp.dt * dyn.velocity
-        return inp.logweight + rt.value(inp.t_next, y) - r_here
+    if c <= 0.0:
+        drift_only = rt.value(inp.t_next, inp.x + inp.dt * dyn.velocity) - r_here
+        if c == 0.0:
+            return inp.logweight + drift_only
     rng = rng or np.random.default_rng()
     mean_drifted = inp.x + inp.dt * (dyn.velocity + abs(c) * dyn.score)
     scale = np.sqrt(2.0 * abs(c) * inp.dt)
@@ -234,10 +227,8 @@ def weight_step_expectation(inp: StepInput, chi: DriftMultiplier, rt: TimeDepend
     for m in range(m_samples):
         y = mean_drifted + scale * rng.standard_normal(inp.x.shape)
         deltas[m] = rt.value(inp.t_next, y) - r_here
-    log_g = logsumexp(deltas, axis=0) - np.log(m_samples)
-    if c > 0.0:
-        incr = np.exp(log_g) if paper_literal else log_g
-        return inp.logweight + incr
-    drift_only = rt.value(inp.t_next, inp.x + inp.dt * dyn.velocity) - r_here
+    log_g = _logsumexp(deltas) - np.log(m_samples)
     tail = np.exp(log_g) if paper_literal else log_g
+    if c > 0.0:
+        return inp.logweight + tail
     return inp.logweight + 2.0 * drift_only - tail

@@ -130,6 +130,10 @@ INVALID_VALUES = (
     lambda d: d.update(diagnostics={"enabled": "false"}),
     lambda d: d.update(seed=True),
     lambda d: d["run"].update(resampling={"kind": "every", "r": 5, "threshold": 0.3}),
+    # A zero-dimensional problem once ran and printed an empty mean.
+    lambda d: (d["problem"].update(base={"standard_normal_dim": 0},
+                                   target={"standard_normal_dim": 0}),
+               d["reward"].update(kind="zero", params={})),
 )
 
 
@@ -161,6 +165,10 @@ VALUES_READ_MID_RUN = {
         resampling={"kind": "ess", "threshold": "0.5"}),
     "diagnostics-n-runs-0": lambda d: d.update(diagnostics={"n_runs": 0}),
     "coeffs-longer-than-target": lambda d: d["reward"].update(params={"coeffs": [1, 2]}),
+    "tilted-score-eta-offset-0": lambda d: (
+        d["run"].update(chi="tilted_score"), d["schedule"].update(eta_offset=0.0)),
+    "ito-tilted-score-epsilon-zero": lambda d: (
+        d["run"].update(chi="tilted_score"), d["schedule"].update(epsilon="zero")),
 }
 
 

@@ -231,9 +231,18 @@ def test_streamed_moments_match_the_array_formula(monkeypatch, paper_literal):
 
 
 def test_trace_from_run_rejects_one_particle_and_nonfinite_log_g():
+    one = _linear_run(0, n=1, k=3)
     with pytest.raises(ValueError, match="at least 2 particles"):
-        trace_from_run(_linear_run(0, n=1, k=3))
+        trace_from_run(one)
     res = _linear_run(0, n=4, k=3)
     res.log_g_finite[1] = False
     with pytest.raises(ValueError, match="positive and finite"):
         trace_from_run(res)
+    # A multi-run trace checks every run, whichever its place.
+    good = _linear_run(1, n=4, k=3)
+    for runs in ([one, one], [good, one], [one, good]):
+        with pytest.raises(ValueError, match="at least 2 particles"):
+            trace_from_runs(runs)
+    for runs in ([res, res], [good, res], [res, good]):
+        with pytest.raises(ValueError, match="positive and finite"):
+            trace_from_runs(runs)

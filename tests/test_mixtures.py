@@ -288,3 +288,23 @@ def test_dynamics_rejects_unknown_jacobian():
     path = MixturePath(standard_normal(1), two_mode_1d())
     with pytest.raises(ValueError):
         path.dynamics(0.5, np.array([0.0]), jacobian="score")
+
+
+def test_logsumexp_matches_scipy_including_non_finite_inputs():
+    from scipy.special import logsumexp
+
+    from fmtt.mixtures import _logsumexp
+
+    rng = np.random.default_rng(5)
+    inf = np.inf
+    rows = [rng.normal(scale=50.0, size=7), [1.0, np.nan, 2.0], [1.0, inf, -inf],
+            [-inf, -inf, -inf], [np.nan, inf, 0.0], [-inf, 3.0, -inf]]
+    with np.errstate(divide="ignore"):
+        for row in rows:
+            row = np.asarray(row, dtype=float)
+            assert np.allclose(_logsumexp(row), logsumexp(row), rtol=1e-15, atol=0,
+                               equal_nan=True), row
+        a = rng.normal(scale=50.0, size=(4, 6))
+        for axis in (0, 1):
+            assert np.allclose(_logsumexp(a, axis), logsumexp(a, axis=axis),
+                               rtol=1e-15, atol=0)

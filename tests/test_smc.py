@@ -53,6 +53,18 @@ def test_negative_epsilon_rejected_before_the_first_step():
         run(RunConfig(n_particles=8, n_steps=10, weight_scheme="ito", seed=0), path, rt)
 
 
+@pytest.mark.parametrize("schedule,scheme", [
+    (InterpolantSchedule.linear(), "laplacian"),  # eta undefined at t = 0
+    (InterpolantSchedule.linear("zero", 0.05), "ito"),  # no diffusion where chi != 0
+], ids=["eta-offset-0", "ito-epsilon-zero"])
+def test_tilted_score_schedule_rejected_before_the_first_step(schedule, scheme):
+    path = MixturePath(standard_normal(1), standard_normal(1), schedule)
+    rt = TimeDependentReward(LinearReward([0.5]), "naive", path)
+    with pytest.raises(ConfigError, match="chi tilted_score"):
+        run(RunConfig(n_particles=8, n_steps=10, chi="tilted_score",
+                      weight_scheme=scheme, seed=0), path, rt)
+
+
 def test_ess_shift_invariant():
     a = np.array([0.3, -1.2, 0.8, 0.0])
     assert ess(a) == pytest.approx(ess(a + 123.0), abs=1e-12)
@@ -228,14 +240,17 @@ def test_config_validation_errors():
         RunConfig(mode="browsing").validate(rt)
     with pytest.raises(ConfigError):
         RunConfig(weight_scheme="simplified").validate(rt)
-    with pytest.raises(ConfigError):
-        RunConfig(resampling={"kind": "ess", "threshold": 0.0}).validate(rt)
-    with pytest.raises(ConfigError):
-        RunConfig(n_steps=10, resampling={"kind": "every", "r": 3}).validate(rt)
-    with pytest.raises(ConfigError):
-        RunConfig(n_steps=10, resampling={"kind": "at_steps", "steps": [11]}).validate(rt)
-    with pytest.raises(ConfigError):
-        RunConfig(n_steps=2, schedule_times=[0.0, 0.5, 0.9]).validate(rt)
+    # With ito weights each of these is valid but for the value it names;
+    # with the default simplified weights a naive reward fails before them.
+    RunConfig(weight_scheme="ito").validate(rt)
+    for bad in ({"resampling": {"kind": "ess", "threshold": 0.0}},
+                {"n_steps": 10, "resampling": {"kind": "every", "r": 3}},
+                {"n_steps": 10, "resampling": {"kind": "at_steps", "steps": [11]}},
+                {"n_steps": 2, "schedule_times": [0.0, 0.5, 0.9]},
+                {"resampling": {"kind": "ess", "threshold": "0.5"}},
+                {"resampling": {"kind": "at_steps", "steps": 3}}):
+        with pytest.raises(ConfigError):
+            RunConfig(weight_scheme="ito", **bad).validate(rt)
 
 
 def test_schedule_times_are_honored():

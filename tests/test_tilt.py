@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from fmtt import (DriftMultiplier, FlowMapEvaluator, GaussianMixture,
-                  InterpolantSchedule, LinearReward, MixturePath,
-                  QuadraticReward, SchemeCompatibilityError, StepInput,
+                  InterpolantSchedule, LinearReward, LogResponsibilityReward,
+                  MixturePath, QuadraticReward, SchemeCompatibilityError, StepInput,
                   TimeDependentReward, ZeroReward, position_step,
                   standard_normal, weight_step_expectation, weight_step_ito,
                   weight_step_laplacian, weight_step_simplified)
@@ -124,6 +124,25 @@ def test_laplacian_bracket_matches_symbolic_quadratic():
     bracket = (float(d.velocity[0, 0]) * grad - 0.5 * gamma * xv * xv
                + (1 - t) * (grad * grad - gamma * t + grad * float(d.score[0, 0])))
     assert out[0] == pytest.approx(dt * bracket, abs=2e-4)
+
+
+@pytest.mark.parametrize("mode", ["naive", "denoiser", "flowmap_ksteps", "flowmap_exact"])
+def test_laplacian_transport_term_is_b_dot_grad_plus_time_derivative(mode):
+    # At chi = 0 the laplacian increment is the transport term D alone, which
+    # must equal b . grad r_t + d/dt r_t in every mode; only the exact flow
+    # map may read it as r(X_{t,1}), so the k-step map must not.
+    target = GaussianMixture.isotropic([0.5, 0.5], [[-2.0, 0.0], [2.0, 0.0]], 0.25)
+    path = MixturePath(standard_normal(2), target, InterpolantSchedule.linear(eta_offset=0.05))
+    flow = FlowMapEvaluator(path, rel_tol=1e-10, abs_tol=1e-12)
+    rt = TimeDependentReward(LogResponsibilityReward(target, 1, 0.1), mode, path, flow)
+    x = np.random.default_rng(4).normal(size=(32, 2))
+    dt = 0.01
+    for t in (0.2, 0.5):
+        inp = StepInput(x, np.zeros(32), t, t + dt, np.zeros_like(x))
+        incr = weight_step_laplacian(inp, DriftMultiplier("default"), rt, path) / dt
+        b = path.dynamics(t, x).velocity
+        expected = np.sum(b * rt.grad(t, x), axis=1) + rt.time_derivative(t, x)
+        assert np.max(np.abs(incr - expected)) < 1e-5, (mode, t)
 
 
 def test_ito_noise_free_reduces_to_drift():
