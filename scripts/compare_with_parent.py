@@ -28,10 +28,15 @@ Every output is reported as bitwise equal, or with its largest absolute
 difference (arrays) or as differing (files).  The exit code is 1 when an
 output differs, except `config_resolved.yaml`, which is only reported: its
 layout may change while the run it describes does not.
+
+The public names that one tree has and the other lacks are listed too:
+`fmtt`'s exports and the public attributes of the classes it exports.
+They are informational and do not set the exit code.
 """
 
 from __future__ import annotations
 
+import inspect
 import os
 import subprocess
 import sys
@@ -47,6 +52,20 @@ GRID_MODES = ("naive", "denoiser", "flowmap_ksteps", "flowmap_exact")
 GRID_SCHEMES = ("simplified", "laplacian", "ito", "expectation")
 GRID_CHIS = ("default", "local_tilt", "base")
 INFORMATIONAL = "config_resolved.yaml"
+NAMES = "public_names"
+
+
+def public_names(package) -> list[str]:
+    """The package's exports (modules excluded) and the public attributes of
+    the classes among them, as dotted names."""
+    names = []
+    for name, obj in vars(package).items():
+        if name.startswith("_") or inspect.ismodule(obj):
+            continue
+        names.append(f"fmtt.{name}")
+        if inspect.isclass(obj):
+            names += [f"fmtt.{name}.{a}" for a in dir(obj) if not a.startswith("_")]
+    return sorted(names)
 
 
 def dump(out: str) -> None:
@@ -60,7 +79,7 @@ def dump(out: str) -> None:
     path = fmtt.MixturePath(fmtt.standard_normal(2), target)
     ev = fmtt.FlowMapEvaluator(path, rel_tol=1e-7, abs_tol=1e-9)
     xs = np.random.default_rng(3).normal(size=(5, 2))
-    arrays = {}
+    arrays = {NAMES: np.array(public_names(fmtt))}
     for shape, x in (("n,d", xs), ("d", xs[1])):
         for s, t in ((0.2, 1.0), (0.9, 0.1), (0.4, 0.4)):
             key = f"{shape}/{s}->{t}"
@@ -135,6 +154,11 @@ def main(other: str) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         here = compute(REPO, Path(tmp) / "here.npz")
         there = compute(Path(other).resolve(), Path(tmp) / "there.npz")
+    names_here, names_there = set(here.pop(NAMES)), set(there.pop(NAMES))
+    for name in sorted(names_there - names_here):
+        print(f"public name only in the other tree  {name}")
+    for name in sorted(names_here - names_there):
+        print(f"public name only in this tree       {name}")
     if here.keys() != there.keys():
         print("the two trees computed different outputs")
         return 1

@@ -32,9 +32,9 @@ from .oracles import (GaussianTilt, SnisEstimate, finite_diff_grad,
 from .rewards import (CustomReward, LinearReward, LogResponsibilityReward,
                       Lookahead, QuadraticReward, Reward, TimeDependentReward,
                       ZeroReward, hutchinson_laplacian)
-from .schedule import InterpolantSchedule, ScheduleValues
+from .schedule import InterpolantSchedule
 from .smc import (ParticleEnsemble, RunConfig, RunResult, ess, resample, run,
-                  top_n_select, weighted_expectation, z_smc)
+                  top_n_select, weighted_expectation)
 from .tilt import (DriftMultiplier, StepInput, position_step,
                    weight_step_expectation, weight_step_ito,
                    weight_step_laplacian, weight_step_simplified)

@@ -16,12 +16,11 @@ import numpy as np
 from .errors import DiagnosticsUndefinedError
 from .mixtures import _logsumexp
 
-_POWERS = np.arange(3.0)[:, None]
-
 
 def _log_moments(log_w: np.ndarray, log_g: np.ndarray) -> np.ndarray:
-    """log sum_n w_n g_n^i for i = 0, 1, 2, from log w and log g."""
-    return _logsumexp(log_w + _POWERS * log_g, axis=1)
+    """log sum_n w_n g_n^i for i = 0, 1, 2, from log w and log g; the i = 0
+    moment is log sum_n w_n whatever g is (0 * log g would be NaN at g = 0)."""
+    return _logsumexp(np.stack([log_w, log_w + log_g, log_w + 2.0 * log_g]), axis=1)
 
 
 def _check_inputs(n: int, log_g_finite) -> None:
@@ -72,8 +71,6 @@ class DiscrepancyTrace:
 
     d_hat: np.ndarray
     times: np.ndarray
-    n_runs: int = 1
-    n_particles: int = 0
 
     def __post_init__(self):
         d = np.atleast_1d(np.asarray(self.d_hat, dtype=float))
@@ -95,7 +92,7 @@ def trace_from_run(result, paper_literal: bool = False) -> DiscrepancyTrace:
     log-moments; see `incremental_discrepancy_log`)."""
     _check_inputs(result.ensemble.size, result.log_g_finite)
     d = np.array([_discrepancy(g, paper_literal) for g in result.log_moments])
-    return DiscrepancyTrace(d, result.times, 1, result.ensemble.size)
+    return DiscrepancyTrace(d, result.times)
 
 
 def trace_from_runs(results, paper_literal: bool = False) -> DiscrepancyTrace:
@@ -112,7 +109,7 @@ def trace_from_runs(results, paper_literal: bool = False) -> DiscrepancyTrace:
     log_z = np.stack([np.concatenate([[0.0], res.log_z_history[:-1]]) for res in results])
     d = np.array([_discrepancy(m, paper_literal)
                   for m in _logsumexp(log_z[..., None] + g - g[..., :1])])
-    return DiscrepancyTrace(d, results[0].times, len(results), results[0].ensemble.size)
+    return DiscrepancyTrace(d, results[0].times)
 
 
 def total_discrepancy(trace: DiscrepancyTrace) -> float:

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import yaml
 
 from .schedule import InterpolantSchedule
 
@@ -131,13 +130,6 @@ class GaussianMixture:
         return cls(np.asarray(d["weights"]), np.asarray(d["means"]),
                    np.asarray(d["covariances"]))
 
-    def to_yaml(self) -> str:
-        return yaml.safe_dump(self.to_dict(), sort_keys=False)
-
-    @classmethod
-    def from_yaml(cls, text: str) -> "GaussianMixture":
-        return cls.from_dict(yaml.safe_load(text))
-
     @classmethod
     def isotropic(cls, weights, means, variance: float) -> "GaussianMixture":
         means = np.atleast_2d(np.asarray(means, dtype=float))
@@ -195,14 +187,6 @@ class MixturePath:
             "S": self.target.covariances[j_idx],
         }
 
-    def components(self, t: float):
-        """Pairwise mixture components at time t: (weights, means, covariances)."""
-        a, b = self.schedule.alpha(t), self.schedule.beta(t)
-        p = self._pairs
-        means = a * p["m"] + b * p["n"]
-        covs = a * a * p["C"] + b * b * p["S"]
-        return np.exp(p["log_w"]), means, covs
-
     def _pass(self, t: float, x: np.ndarray):
         """The kernel pass at (t, x) for rows x (n, d), pairs first: schedule
         scalars (a, b, a_dot, b_dot), responsibilities r (P,n), solves
@@ -217,9 +201,12 @@ class MixturePath:
                                            inv_l, logdets)
         return (a, b, a_dot, b_dot), np.exp(log_r), half @ inv_l, log_density, inv_l
 
-    def _at(self, t: float, x: np.ndarray, jacobian: str | None = None) -> DynamicsAt:
-        """`dynamics`, which the Jacobian views call instead, so that each public
-        call is one kernel pass."""
+    def dynamics(self, t: float, x: np.ndarray, jacobian: str | None = None) -> DynamicsAt:
+        """Closed-form velocity, score, denoiser, log-density at (t, x).
+
+        ``jacobian`` ("velocity" or "denoiser") adds that field's spatial
+        Jacobian, computed from the same responsibilities.
+        """
         if jacobian not in _JACOBIANS:
             raise ValueError(f"unknown jacobian {jacobian!r}; expected one of {_JACOBIANS}")
         x = np.asarray(x, dtype=float)
@@ -246,14 +233,6 @@ class MixturePath:
             out = tuple(None if o is None else o[0] for o in out)
         return DynamicsAt(*out)
 
-    def dynamics(self, t: float, x: np.ndarray, jacobian: str | None = None) -> DynamicsAt:
-        """Closed-form velocity, score, denoiser, log-density at (t, x).
-
-        ``jacobian`` ("velocity" or "denoiser") adds that field's spatial
-        Jacobian, computed from the same responsibilities.
-        """
-        return self._at(t, x, jacobian)
-
     def conditional_means(self, t: float, x: np.ndarray):
         """Posterior-averaged E[x0 | I_t=x] and E[x1 | I_t=x]."""
         (a, b, _, _), r, u, _, _ = self._pass(t, np.atleast_2d(np.asarray(x, dtype=float)))
@@ -261,11 +240,3 @@ class MixturePath:
         e1 = p["n"][:, None, :] + b * (u @ p["S"].swapaxes(1, 2))
         e0 = p["m"][:, None, :] + a * (u @ p["C"].swapaxes(1, 2))
         return np.einsum("pn,pni->ni", r, e0), np.einsum("pn,pni->ni", r, e1)
-
-    def velocity_jacobian(self, t: float, x: np.ndarray) -> np.ndarray:
-        """Analytic spatial Jacobian of the velocity field, shape (n, d, d)."""
-        return self._at(t, x, "velocity").jacobian
-
-    def denoiser_jacobian(self, t: float, x: np.ndarray) -> np.ndarray:
-        """Analytic spatial Jacobian of the denoiser E[x1|I_t=x], (n, d, d)."""
-        return self._at(t, x, "denoiser").jacobian

@@ -184,10 +184,6 @@ class TimeDependentReward:
                 t, 1.0, x2, self.k, self.k_scheme)
         return (res.endpoint, res.jacobian) if jacobian else (res, None)
 
-    def terminal_lookahead(self, t: float, x: np.ndarray) -> np.ndarray:
-        """r evaluated at the predicted endpoint (no factor t)."""
-        return self.lookahead_value_and_grad(t, x, False).terminal
-
     def value(self, t: float, x: np.ndarray) -> np.ndarray:
         if t == 0.0:
             return np.zeros(np.atleast_2d(x).shape[0])

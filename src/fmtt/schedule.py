@@ -8,22 +8,10 @@ epsilon=1-t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .errors import ScheduleDomainError
-
-
-@dataclass(frozen=True)
-class ScheduleValues:
-    """All schedule scalars at a single time."""
-
-    alpha: float
-    beta: float
-    alpha_dot: float
-    beta_dot: float
-    epsilon: float
-    eta: float
 
 
 def _linear_alpha(t: float) -> float:
@@ -95,19 +83,6 @@ class InterpolantSchedule:
         if eps < 0:
             raise ValueError(f"epsilon({t}) = {eps} < 0")
         return eps
-
-    def at(self, t: float) -> ScheduleValues:
-        """Evaluate every schedule scalar at time t in [0,1]."""
-        if not 0.0 <= t <= 1.0:
-            raise ValueError(f"t={t} outside [0,1]")
-        return ScheduleValues(
-            alpha=self.alpha(t),
-            beta=self.beta(t),
-            alpha_dot=self.alpha_dot(t),
-            beta_dot=self.beta_dot(t),
-            epsilon=self.checked_epsilon(t),
-            eta=self.eta(t),
-        )
 
     @classmethod
     def linear(cls, epsilon: Callable[[float], float] | str = "one_minus_t",

@@ -232,6 +232,9 @@ class RunResult:
     mode: str
 
     def log_z(self, k: int | None = None) -> float:
+        """Log of the unbiased normalization estimate after step k (default:
+        the last): the product of pre-reset mean weights over earlier
+        resampling events times the current mean weight; NaN when searching."""
         k = self.log_z_history.shape[0] if k is None else k
         if self.mode == "searching":
             return float("nan")
@@ -242,12 +245,6 @@ def _step_rng(seed: int, step: int, channel: int) -> np.random.Generator:
     """Counter-based generator keyed by (seed, step, channel); thread-safe
     determinism independent of execution order."""
     return np.random.Generator(np.random.Philox(key=[seed, (step << 8) + channel]))
-
-
-def z_smc(result: RunResult, k: int | None = None) -> float:
-    """Unbiased normalization estimate at step k (product of pre-reset mean
-    weights over earlier resampling events, times the current mean weight)."""
-    return float(np.exp(result.log_z(k)))
 
 
 def run(cfg: RunConfig, path: MixturePath, rt: TimeDependentReward) -> RunResult:

@@ -212,7 +212,7 @@ def check_reward_transport_identity():
             pt = np.array([x])
             b = path.dynamics(t, pt).velocity
             lhs = float(b @ rt.grad(t, pt)[0]) + float(rt.time_derivative(t, pt)[0])
-            rhs = float(rt.terminal_lookahead(t, pt)[0])
+            rhs = float(rt.lookahead_value_and_grad(t, pt, False).terminal[0])
             worst = max(worst, abs(lhs - rhs))
     return worst < 1e-4, f"max |b . grad r_t + dr_t/dt - r(endpoint)| = {worst:.2e}"
 

@@ -16,7 +16,7 @@ from fmtt import (BarrierProfile, DiscrepancyTrace, DriftMultiplier,
                   quality_ratio, refine_schedule, run, snis_tilted_expectation,
                   standard_normal, thermodynamic_length, total_discrepancy,
                   trace_from_run, weighted_expectation)
-from fmtt.verify import run_suites
+from fmtt.verify import SUITES
 
 
 def std_path_1d(eta_offset=0.0):
@@ -79,7 +79,7 @@ def test_criterion_2_lookahead_transport_identity():
             b = path.dynamics(t, xs).velocity
             lhs = (np.sum(b * rt.grad(t, xs), axis=1)
                    + rt.time_derivative(t, xs))
-            rhs = rt.terminal_lookahead(t, xs)
+            rhs = rt.lookahead_value_and_grad(t, xs, False).terminal
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     assert worst <= 1e-4
     print(f"criterion 2: max transport residual {worst:.2e}")
@@ -294,8 +294,9 @@ def test_criterion_10_hutchinson_laplacian():
     assert s4000 < 0.7 * s1000
 
 
-def test_criterion_11_full_invariant_suite():
-    report = run_suites(None)
-    failures = [(m, n, d) for m, n, ok, d in report if not ok]
-    print(f"criterion 11: {len(report) - len(failures)}/{len(report)} checks passed")
-    assert failures == []
+@pytest.mark.parametrize("check", [check for checks in SUITES.values() for check in checks],
+                         ids=lambda check: check.__name__)
+def test_criterion_11_full_invariant_suite(check):
+    ok, detail = check()
+    print(f"criterion 11: {check.__name__}: {detail}")
+    assert ok, detail

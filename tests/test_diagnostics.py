@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
@@ -10,6 +12,7 @@ from fmtt import (BarrierProfile, DiagnosticsUndefinedError, DiscrepancyTrace,
                   run, standard_normal, thermodynamic_length,
                   total_discrepancy, trace_from_run, trace_from_runs,
                   var_model)
+from fmtt.diagnostics import _log_moments
 
 
 def make_trace(d_hat):
@@ -246,3 +249,11 @@ def test_trace_from_run_rejects_one_particle_and_nonfinite_log_g():
     for runs in ([res, res], [good, res], [res, good]):
         with pytest.raises(ValueError, match="positive and finite"):
             trace_from_runs(runs)
+
+
+def test_zeroth_log_moment_is_log_total_weight_at_zero_g():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = _log_moments(np.zeros(3), np.array([0.0, -np.inf, 1.0]))
+    assert m[0] == pytest.approx(np.log(3.0), abs=1e-15)
+    assert np.allclose(m[1:], [np.log(1.0 + np.e), np.log(1.0 + np.e**2)], rtol=0, atol=1e-15)

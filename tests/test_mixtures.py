@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import yaml
 
 from fmtt import (GaussianMixture, InterpolantSchedule, MixturePath,
                   finite_diff_grad, standard_normal)
@@ -53,7 +54,7 @@ def test_sample_rejects_zero_count():
 
 def test_yaml_roundtrip():
     gm = two_mode_1d()
-    back = GaussianMixture.from_yaml(gm.to_yaml())
+    back = GaussianMixture.from_dict(yaml.safe_load(yaml.safe_dump(gm.to_dict())))
     assert np.allclose(back.means, gm.means)
     assert np.allclose(back.covariances, gm.covariances)
 
@@ -62,23 +63,6 @@ def test_from_dict_rejects_unknown_keys():
     with pytest.raises(ValueError):
         GaussianMixture.from_dict({"weights": [1.0], "means": [[0.0]],
                                    "covariances": [[[1.0]]], "bogus": 1})
-
-
-def test_path_components_pairwise():
-    path = MixturePath(standard_normal(1), two_mode_1d())
-    w, m, c = path.components(0.5)
-    assert np.allclose(w, [0.5, 0.5])
-    assert np.allclose(sorted(m[:, 0]), [-1.0, 1.0])
-    assert np.allclose(c[:, 0, 0], 0.3125)
-
-
-def test_path_components_boundary():
-    path = MixturePath(standard_normal(1), two_mode_1d())
-    w0, m0, c0 = path.components(0.0)
-    assert np.allclose(m0, 0.0) and np.allclose(c0[:, 0, 0], 1.0)
-    w1, m1, c1 = path.components(1.0)
-    assert np.allclose(sorted(m1[:, 0]), [-2.0, 2.0])
-    assert np.allclose(c1[:, 0, 0], 0.25)
 
 
 def test_dynamics_closed_form_point():
@@ -136,7 +120,7 @@ def test_velocity_jacobian_matches_fd():
     target = GaussianMixture.isotropic([0.4, 0.6], [[-1.0, 0.0], [1.5, 1.0]], 0.3)
     path = MixturePath(standard_normal(2), target)
     x = np.array([0.3, -0.7])
-    jac = path.velocity_jacobian(0.6, x)
+    jac = path.dynamics(0.6, x, jacobian="velocity").jacobian
     h = 1e-6
     for i in range(2):
         e = np.zeros(2)
@@ -148,7 +132,7 @@ def test_velocity_jacobian_matches_fd():
 def test_denoiser_jacobian_matches_fd():
     path = MixturePath(standard_normal(1), two_mode_1d())
     x = np.array([0.4])
-    jac = path.denoiser_jacobian(0.5, x)
+    jac = path.dynamics(0.5, x, jacobian="denoiser").jacobian
     h = 1e-6
     fd = (path.dynamics(0.5, x + h).denoiser - path.dynamics(0.5, x - h).denoiser) / (2 * h)
     assert jac[0, 0] == pytest.approx(fd[0], abs=1e-6)
@@ -245,18 +229,16 @@ def test_batched_kernel_matches_per_pair_loop(kb, kt, d, t):
     dyn = path.dynamics(t, x)
     for name in ("velocity", "score", "denoiser", "log_density"):
         _assert_agrees(getattr(dyn, name), ref[name])
-    _assert_agrees(path.velocity_jacobian(t, x), ref["velocity_jacobian"])
+    with_velocity = path.dynamics(t, x, jacobian="velocity")
+    _assert_agrees(with_velocity.jacobian, ref["velocity_jacobian"])
+    denoiser_jacobian = path.dynamics(t, x, jacobian="denoiser").jacobian
     if t == 0.0:
         # beta = 0: the denoiser is constant in x, so its Jacobian is zero in
         # exact arithmetic and both kernels return rounding noise.
-        assert np.max(np.abs(path.denoiser_jacobian(t, x))) <= 1e-11
+        assert np.max(np.abs(denoiser_jacobian)) <= 1e-11
     else:
-        _assert_agrees(path.denoiser_jacobian(t, x), ref["denoiser_jacobian"])
-    one_pass = path.dynamics(t, x, jacobian="velocity")
-    assert np.array_equal(one_pass.jacobian, path.velocity_jacobian(t, x))
-    assert np.array_equal(one_pass.velocity, dyn.velocity)
-    assert np.array_equal(path.dynamics(t, x, jacobian="denoiser").jacobian,
-                          path.denoiser_jacobian(t, x))
+        _assert_agrees(denoiser_jacobian, ref["denoiser_jacobian"])
+    assert np.array_equal(with_velocity.velocity, dyn.velocity)
     assert dyn.jacobian is None
 
 

@@ -102,7 +102,6 @@ def test_views_read_the_lookahead_record(mode):
     for t in (0.0, 0.4, 1.0):
         plain = rt.lookahead_value_and_grad(t, x, grad=False)
         assert plain.grad is None
-        assert np.array_equal(rt.terminal_lookahead(t, x), plain.terminal)
         assert np.array_equal(rt.value(t, x), plain.value)
         assert np.array_equal(rt.grad(t, x), rt.lookahead_value_and_grad(t, x).grad)
 
@@ -131,7 +130,8 @@ def test_transport_identity_flowmap_mode():
             pt = np.array([x])
             b = path.dynamics(t, pt).velocity
             lhs = float(b @ rt.grad(t, pt)[0]) + float(rt.time_derivative(t, pt)[0])
-            assert lhs == pytest.approx(float(rt.terminal_lookahead(t, pt)[0]), abs=1e-4)
+            terminal = rt.lookahead_value_and_grad(t, pt, False).terminal
+            assert lhs == pytest.approx(float(terminal[0]), abs=1e-4)
 
 
 def test_grad_matches_fd_across_modes():

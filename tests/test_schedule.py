@@ -28,22 +28,6 @@ def test_eta_domain_error_at_zero():
         s.eta(0.0)
 
 
-def test_at_returns_all_scalars():
-    v = InterpolantSchedule.linear(eta_offset=0.05).at(0.25)
-    assert v.alpha == 0.75 and v.beta == 0.25
-    assert v.alpha_dot == -1.0 and v.beta_dot == 1.0
-    assert v.epsilon == 0.75
-    assert v.eta == pytest.approx(2.625)
-
-
-def test_at_rejects_out_of_range():
-    s = InterpolantSchedule.linear()
-    with pytest.raises(ValueError):
-        s.at(1.5)
-    with pytest.raises(ValueError):
-        s.at(-0.1)
-
-
 def test_epsilon_variants():
     assert InterpolantSchedule.linear(epsilon="zero").epsilon(0.3) == 0.0
     assert InterpolantSchedule.linear(epsilon=0.7).epsilon(0.3) == 0.7
@@ -55,7 +39,7 @@ def test_epsilon_variants():
 def test_negative_epsilon_rejected_at_eval():
     s = InterpolantSchedule.linear(epsilon=lambda t: -t)
     with pytest.raises(ValueError):
-        s.at(0.5)
+        s.checked_epsilon(0.5)
 
 
 def test_bad_boundary_schedule_rejected():

@@ -10,7 +10,7 @@ from fmtt import (ConfigError, DegenerateEnsembleError, DriftMultiplier,
                   ParticleEnsemble, RunConfig, RunResult, StepInput,
                   TimeDependentReward, ZeroReward, ess, position_step, resample,
                   run, standard_normal, top_n_select, weight_step_ito,
-                  weighted_expectation, z_smc)
+                  weighted_expectation)
 from fmtt.smc import _step_rng
 
 
@@ -138,10 +138,10 @@ def test_z_smc_examples():
                          np.ones(1), [], [], np.array([log_z]), np.zeros(1),
                          np.zeros((1, 1)), np.zeros((1, 1)), mode)
 
-    assert z_smc(result_with(0.0)) == pytest.approx(1.0)
-    assert z_smc(result_with(np.log(2.0))) == pytest.approx(2.0)
-    assert z_smc(result_with(np.log(1.5) + np.log(2.0))) == pytest.approx(3.0)
-    assert np.isnan(z_smc(result_with(0.0, mode="searching")))
+    assert np.exp(result_with(0.0).log_z()) == pytest.approx(1.0)
+    assert np.exp(result_with(np.log(2.0)).log_z()) == pytest.approx(2.0)
+    assert np.exp(result_with(np.log(1.5) + np.log(2.0)).log_z()) == pytest.approx(3.0)
+    assert np.isnan(np.exp(result_with(0.0, mode="searching").log_z()))
 
 
 def test_zero_reward_run_is_plain_transport():
@@ -152,7 +152,7 @@ def test_zero_reward_run_is_plain_transport():
     assert np.allclose(res.ess_history, 512.0)
     assert res.resample_steps == []
     assert abs(float(res.ensemble.positions.mean())) < 4.0 / np.sqrt(512)
-    assert z_smc(res) == pytest.approx(1.0, abs=1e-10)
+    assert np.exp(res.log_z()) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_run_deterministic_per_seed():
@@ -205,7 +205,7 @@ def test_z_smc_matches_closed_form_normalizer():
         cfg = RunConfig(n_particles=256, n_steps=200, chi="local_tilt",
                         weight_scheme="ito", seed=seed,
                         resampling={"kind": "never"})
-        vals.append(z_smc(run(cfg, path, rt)))
+        vals.append(np.exp(run(cfg, path, rt).log_z()))
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / np.sqrt(len(vals)))
     assert abs(mean - np.exp(0.125)) < 3 * stderr + 0.01
