@@ -1,16 +1,16 @@
 """Experiment configuration: strict YAML schema and object construction.
 
 Each key, type and default is stated once: by `RunConfig`'s fields for the
-run block, by `smc.RESAMPLING` for its resampling kinds and by `DEFAULTS`
-for the rest.  Unknown keys and values of another type than their default's
-are rejected, so typos fail fast instead of silently using defaults.
+run block and the seed, by `smc.RESAMPLING` for its resampling kinds and by
+`DEFAULTS` for the rest.  Unknown keys and values of another type than their
+default's are rejected by `smc._resolve`, which `RunConfig` applies to its
+own fields, so typos fail fast instead of silently using defaults.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-import numpy as np
 import yaml
 
 from .errors import ConfigError
@@ -18,13 +18,9 @@ from .mixtures import GaussianMixture, MixturePath, standard_normal
 from .rewards import (LinearReward, LogResponsibilityReward, QuadraticReward,
                       Reward, TimeDependentReward, ZeroReward)
 from .schedule import InterpolantSchedule
-from .smc import RESAMPLING, RunConfig
+from .smc import RunConfig, _check_keys, _kind, _resolve
 
-# Every value must have its default's type (an int passes as a float); a
-# type stands for a required value, and a list's elements take the type of
-# its first element.
 DEFAULTS = {
-    "seed": 0,
     "schedule": {"kind": "linear", "epsilon": "one_minus_t", "eta_offset": 0.0},
     "reward": {"kind": "zero",
                "params": {"zero": {}, "linear": {"coeffs": [1.0]},
@@ -33,47 +29,6 @@ DEFAULTS = {
                "mode": "flowmap_exact", "k": 4},
     "diagnostics": {"enabled": True, "refinement_rounds": 3, "n_runs": 1},
 }
-
-
-def _resolve(value, default, where: str):
-    """value, checked to have the type of default; a mapping gets every key
-    of its default, and None stands for an optional list of numbers."""
-    if isinstance(default, dict):
-        _check_keys(value, default, where)
-        return {key: _resolve(value.get(key, d), d, f"{where}.{key}")
-                for key, d in default.items()}
-    if default is None:
-        return None if value is None else _resolve(value, [0.0], where)
-    if isinstance(value, type):
-        raise ConfigError(f"{where} is required")
-    if isinstance(default, list):
-        if not isinstance(value, list):
-            raise ConfigError(f"{where} must be a list, got {value!r}")
-        return [_resolve(v, default[0], f"{where}[{i}]") for i, v in enumerate(value)]
-    want = default if isinstance(default, type) else type(default)
-    if want is float and type(value) is int:
-        value = float(value)
-    if type(value) is not want:
-        raise ConfigError(f"{where} must be {want.__name__}, got {value!r}")
-    return value
-
-
-def _check_keys(block, allowed, where: str) -> None:
-    if not isinstance(block, dict):
-        raise ConfigError(f"{where} must be a mapping")
-    unknown = set(block) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-
-
-def _kind(block: dict, default: str, kinds: dict, where: str) -> str:
-    """The kind a block names, which selects the rest of its keys."""
-    if not isinstance(block, dict):
-        raise ConfigError(f"{where} must be a mapping")
-    kind = _resolve(block.get("kind", default), default, f"{where}.kind")
-    if kind not in kinds:
-        raise ConfigError(f"unknown {where} kind {kind!r}; expected one of {sorted(kinds)}")
-    return kind
 
 
 def _run_table(run: RunConfig) -> dict:
@@ -85,19 +40,19 @@ def _run_table(run: RunConfig) -> dict:
         if group == "hutchinson":
             out.setdefault(group, {})[key] = value
         elif f.name != "seed":
-            out[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+            out[f.name] = value
     return out
 
 
-def _run_config(block, seed: int) -> RunConfig:
+def _run_config(block, seed) -> RunConfig:
+    """The RunConfig of a run block, whose hutchinson keys are grouped."""
     spec = _run_table(RunConfig())
     _check_keys(block, spec, "run")
-    kind = _kind(block.get("resampling", {}), spec["resampling"]["kind"], RESAMPLING,
-                 "run.resampling")
-    spec["resampling"] = {"kind": kind, **RESAMPLING[kind]}
-    run = _resolve(block, spec, "run")
-    hutchinson = {f"hutchinson_{key}": v for key, v in run.pop("hutchinson").items()}
-    return RunConfig(**run, **hutchinson, seed=seed)
+    hutchinson = block.get("hutchinson", {})
+    _check_keys(hutchinson, spec["hutchinson"], "run.hutchinson")
+    settings = {key: v for key, v in block.items() if key != "hutchinson"}
+    return RunConfig(**settings, **{f"hutchinson_{key}": v for key, v in hutchinson.items()},
+                     seed=seed)
 
 
 def _mixture_from_block(block, where: str) -> GaussianMixture:
@@ -132,12 +87,7 @@ class ExperimentConfig:
     @classmethod
     def from_yaml(cls, text: str, seed_override: int | None = None) -> "ExperimentConfig":
         raw = yaml.safe_load(text)
-        _check_keys(raw, {*DEFAULTS, "problem", "run"}, "config root")
-
-        seed = _resolve(raw.get("seed", DEFAULTS["seed"]) if seed_override is None
-                        else seed_override, DEFAULTS["seed"], "seed")
-        if seed < 0:
-            raise ConfigError("seed must be a nonnegative integer")
+        _check_keys(raw, {*DEFAULTS, "problem", "run", "seed"}, "config root")
 
         problem = raw.get("problem", {})
         _check_keys(problem, {"base", "target"}, "problem")
@@ -162,12 +112,12 @@ class ExperimentConfig:
         if diagnostics["n_runs"] < 1 or diagnostics["refinement_rounds"] < 0:
             raise ConfigError("diagnostics needs n_runs >= 1 and refinement_rounds >= 0")
 
+        seed = raw.get("seed", RunConfig.seed) if seed_override is None else seed_override
         cfg = cls(base, target, schedule, _run_config(raw.get("run", {}), seed),
                   reward, diagnostics)
         # Fail early on invariants that would otherwise surface mid-run.
         path = cfg.build_path()
-        cfg.run.validate(cfg.build_reward(path))
-        cfg.run.check_knots(path)
+        cfg.run.check(path, cfg.build_reward(path))
         return cfg
 
     @classmethod

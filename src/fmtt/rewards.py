@@ -44,8 +44,7 @@ class LinearReward(Reward):
         return np.atleast_2d(x) @ self.coeffs
 
     def grad(self, x):
-        x2 = np.atleast_2d(x)
-        return np.broadcast_to(self.coeffs, x2.shape).copy()
+        return np.repeat(self.coeffs[None], np.atleast_2d(x).shape[0], axis=0)
 
 
 @dataclass(frozen=True)
@@ -156,6 +155,8 @@ class TimeDependentReward:
             raise ValueError(f"mode {mode!r} requires a path")
         if mode == "flowmap_ksteps":
             _check_k_steps(k, k_scheme)
+        if flow is not None and flow.path is not path:
+            raise ValueError("flow must evaluate the reward's own path")
         if mode.startswith("flowmap") and flow is None:
             flow = FlowMapEvaluator(path, rel_tol=1e-7, abs_tol=1e-9)
         self.base = base

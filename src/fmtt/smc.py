@@ -10,7 +10,7 @@ top-n states by the current look-ahead reward and recloned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -127,18 +127,65 @@ RESAMPLING = {"ess": {"threshold": 0.85}, "every": {"r": int},
               "at_steps": {"steps": [int]}, "never": {}}
 
 
+def _resolve(value, default, where: str):
+    """value, checked to have the type of default (an int passes as a float,
+    a bool never as a number).  A mapping gets every key of its default, a
+    type stands for a required value, a list's elements take the type of its
+    first element, and None stands for an optional list of numbers.  Numpy
+    scalars and arrays pass as the Python values they hold, a tuple as a list."""
+    if isinstance(default, dict):
+        _check_keys(value, default, where)
+        return {key: _resolve(value.get(key, d), d, f"{where}.{key}")
+                for key, d in default.items()}
+    if default is None:
+        return None if value is None else _resolve(value, [0.0], where)
+    if isinstance(value, type):
+        raise ConfigError(f"{where} is required")
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
+    if isinstance(default, list):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where} must be a list, got {value!r}")
+        return [_resolve(v, default[0], f"{where}[{i}]") for i, v in enumerate(value)]
+    want = default if isinstance(default, type) else type(default)
+    if want is float and type(value) is int:
+        value = float(value)
+    if type(value) is not want:
+        raise ConfigError(f"{where} must be {want.__name__}, got {value!r}")
+    return value
+
+
+def _check_keys(block, allowed, where: str) -> None:
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be a mapping")
+    unknown = set(block) - set(allowed)
+    if unknown:
+        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+
+
+def _kind(block: dict, default: str, kinds: dict, where: str) -> str:
+    """The kind a block names, which selects the rest of its keys."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be a mapping")
+    kind = _resolve(block.get("kind", default), default, f"{where}.kind")
+    if kind not in kinds:
+        raise ConfigError(f"unknown {where} kind {kind!r}; expected one of {sorted(kinds)}")
+    return kind
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Configuration of one SMC run."""
+    """Configuration of one SMC run, checked when built: a value out of range
+    or of another type than its default's is a ConfigError."""
 
     n_particles: int = 128
     n_steps: int = 200
     clones: int = 1
-    schedule_times: np.ndarray | None = None
+    schedule_times: list[float] | None = None
     mode: str = "sampling"
     chi: str = "default"
     weight_scheme: str = "simplified"
-    resampling: dict = field(default_factory=lambda: {"kind": "ess", **RESAMPLING["ess"]})
+    resampling: dict = field(default_factory=lambda: {"kind": "ess"})
     resample_method: str = "systematic"
     expectation_samples: int = 16
     hutchinson_probes: int = 64
@@ -147,58 +194,59 @@ class RunConfig:
     paper_literal: bool = False
     seed: int = 0
 
-    def times(self) -> np.ndarray:
-        if self.schedule_times is None:
-            return np.linspace(0.0, 1.0, self.n_steps + 1)
-        ts = np.asarray(self.schedule_times, dtype=float)
-        if ts.ndim != 1 or ts.shape[0] != self.n_steps + 1:
+    def __post_init__(self):
+        for f in fields(self):
+            value, default = getattr(self, f.name), f.default
+            if f.name == "resampling":
+                kind = _kind(value, "ess", RESAMPLING, f.name)
+                default = {"kind": kind, **RESAMPLING[kind]}
+            object.__setattr__(self, f.name, _resolve(value, default, f.name))
+        if min(self.n_particles, self.n_steps, self.clones, self.expectation_samples) < 1:
+            raise ConfigError("n_particles, n_steps, clones and expectation_samples "
+                              "must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be a nonnegative integer")
+        for name, choices in (("mode", ("sampling", "searching")), ("chi", CHI_CHOICES),
+                              ("weight_scheme", WEIGHT_SCHEMES),
+                              ("resample_method", RESAMPLE_METHODS)):
+            if getattr(self, name) not in choices:
+                raise ConfigError(f"unknown {name} {getattr(self, name)!r}; "
+                                  f"expected one of {sorted(choices)}")
+        if self.weight_scheme == "simplified" and self.chi != "default":
+            raise ConfigError("simplified weights require chi = default")
+        try:
+            _check_hutchinson(self.hutchinson_probes, self.hutchinson_eps,
+                              self.hutchinson_probe)
+        except ValueError as exc:
+            raise ConfigError(f"hutchinson: {exc}") from exc
+        spec = self.resampling
+        if spec["kind"] == "ess" and not 0.0 < spec["threshold"] <= 1.0:
+            raise ConfigError("ESS threshold must be in (0, 1]")
+        if spec["kind"] == "every" and not (spec["r"] >= 1 and self.n_steps % spec["r"] == 0):
+            raise ConfigError("periodic resampling interval must divide n_steps")
+        if spec["kind"] == "at_steps" and not all(1 <= s <= self.n_steps
+                                                  for s in spec["steps"]):
+            raise ConfigError("explicit resampling steps must lie in [1, n_steps]")
+        ts = self.times()
+        if ts.shape[0] != self.n_steps + 1:
             raise ConfigError("schedule must have n_steps + 1 knots")
         if ts[0] != 0.0 or ts[-1] != 1.0 or np.any(np.diff(ts) <= 0):
             raise ConfigError("schedule must increase strictly from 0 to 1")
-        return ts
 
-    def validate(self, rt: TimeDependentReward) -> None:
-        if self.n_particles < 1 or self.n_steps < 1 or self.clones < 1:
-            raise ConfigError("n_particles, n_steps and clones must be >= 1")
-        if self.mode not in ("sampling", "searching"):
-            raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.chi not in CHI_CHOICES:
-            raise ConfigError(f"unknown chi choice {self.chi!r}")
-        if self.weight_scheme not in WEIGHT_SCHEMES:
-            raise ConfigError(f"unknown weight scheme {self.weight_scheme!r}")
-        if self.weight_scheme == "simplified":
-            if self.chi != "default":
-                raise ConfigError("simplified weights require chi = default")
-            if not rt.is_flowmap():
-                raise ConfigError("simplified weights require a flow-map look-ahead reward")
-        if self.resample_method not in RESAMPLE_METHODS:
-            raise ConfigError(f"unknown resample method {self.resample_method!r}; "
-                              f"expected one of {sorted(RESAMPLE_METHODS)}")
-        if self.expectation_samples < 1:
-            raise ConfigError("expectation_samples must be >= 1")
-        try:
-            _check_hutchinson(self.hutchinson_probes, self.hutchinson_eps,
-                             self.hutchinson_probe)
-        except ValueError as exc:
-            raise ConfigError(f"hutchinson: {exc}") from exc
-        kind = self.resampling.get("kind")
-        if kind not in RESAMPLING:
-            raise ConfigError(f"unknown resampling kind {kind!r}")
-        spec = {**RESAMPLING[kind], **self.resampling}
-        if kind == "ess" and not (isinstance(spec["threshold"], (int, float))
-                                  and 0.0 < spec["threshold"] <= 1.0):
-            raise ConfigError("ESS threshold must be a number in (0, 1]")
-        if kind == "every" and not (isinstance(spec["r"], int) and spec["r"] >= 1
-                                    and self.n_steps % spec["r"] == 0):
-            raise ConfigError("periodic resampling interval must divide n_steps")
-        if kind == "at_steps" and not (isinstance(spec["steps"], (list, tuple)) and all(
-                isinstance(s, int) and 1 <= s <= self.n_steps for s in spec["steps"])):
-            raise ConfigError("explicit resampling steps must be a list in [1, n_steps]")
-        self.times()
+    def times(self) -> np.ndarray:
+        if self.schedule_times is None:
+            return np.linspace(0.0, 1.0, self.n_steps + 1)
+        return np.array(self.schedule_times)
 
-    def check_knots(self, path: MixturePath) -> None:
-        """Evaluate at every knot what the run reads of the path's schedule:
-        epsilon (ValueError where negative), chi and the ito coefficient."""
+    def check(self, path: MixturePath, rt: TimeDependentReward) -> None:
+        """Check the settings against the problem: the reward must read the
+        run's path, simplified weights need a flow-map reward, and at every
+        knot epsilon (ValueError where negative), chi and the ito coefficient
+        must be defined."""
+        if rt.path is not None and rt.path is not path:
+            raise ConfigError("the reward's look-ahead reads another path than the run's")
+        if self.weight_scheme == "simplified" and not rt.is_flowmap():
+            raise ConfigError("simplified weights require a flow-map look-ahead reward")
         chi, schedule = DriftMultiplier(self.chi), path.schedule
         for t in self.times():
             eps = schedule.checked_epsilon(t)
@@ -232,13 +280,17 @@ class RunResult:
     mode: str
 
     def log_z(self, k: int | None = None) -> float:
-        """Log of the unbiased normalization estimate after step k (default:
-        the last): the product of pre-reset mean weights over earlier
-        resampling events times the current mean weight; NaN when searching."""
-        k = self.log_z_history.shape[0] if k is None else k
+        """Log of the unbiased normalization estimate after step k in [0, K]
+        (default: K): the product of pre-reset mean weights over earlier
+        resampling events times the current mean weight, so 0 at k = 0; NaN
+        when searching."""
+        steps = self.log_z_history.shape[0]
+        k = steps if k is None else k
+        if not 0 <= k <= steps:
+            raise ValueError(f"step k must be in [0, K = {steps}], got {k}")
         if self.mode == "searching":
             return float("nan")
-        return float(self.log_z_history[k - 1])
+        return 0.0 if k == 0 else float(self.log_z_history[k - 1])
 
 
 def _step_rng(seed: int, step: int, channel: int) -> np.random.Generator:
@@ -255,8 +307,7 @@ def run(cfg: RunConfig, path: MixturePath, rt: TimeDependentReward) -> RunResult
     reward and the search scores all read that record, which resampling and
     selection gather along with the states.
     """
-    cfg.validate(rt)
-    cfg.check_knots(path)
+    cfg.check(path, rt)
     ts = cfg.times()
     sched = path.schedule
     chi = DriftMultiplier(cfg.chi)
@@ -286,8 +337,8 @@ def run(cfg: RunConfig, path: MixturePath, rt: TimeDependentReward) -> RunResult
     resample_log_means: list[float] = []
     log_z_events = 0.0
 
-    kind = cfg.resampling["kind"]
-    spec = {**RESAMPLING[kind], **cfg.resampling}
+    spec = cfg.resampling
+    kind = spec["kind"]
 
     for k in range(1, K + 1):
         t, t_next = ts[k - 1], ts[k]

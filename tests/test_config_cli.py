@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 import yaml
 
-from fmtt import ConfigError, ExperimentConfig
+from fmtt import (ConfigError, ExperimentConfig, InterpolantSchedule, LinearReward,
+                  MixturePath, RunConfig, TimeDependentReward, run, standard_normal)
 from fmtt.cli import _run_seed, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -192,6 +193,90 @@ def test_cli_value_read_mid_run_exits_2_before_running(tmp_path, capsys):
         assert err["error"] == "ConfigError", name
         assert name != "hutchinson-probes-0" or "m_probes" in err["message"]
         assert not out.exists(), name
+
+
+def _run_kwargs(raw):
+    """The run block and seed of a parsed config as RunConfig arguments."""
+    settings = dict(raw["run"])
+    hutchinson = settings.pop("hutchinson", {})
+    return {**settings, "seed": raw["seed"],
+            **{f"hutchinson_{key}": v for key, v in hutchinson.items()}}
+
+
+def _run_block_entries():
+    """The entries of INVALID_VALUES and VALUES_READ_MID_RUN that change only
+    the run block or the seed, as RunConfig arguments."""
+    plain = yaml.safe_load(FAST_SAMPLE)
+    entries = {}
+    invalid = {f"invalid-values-{i}": mutate for i, mutate in enumerate(INVALID_VALUES)}
+    for name, mutate in {**VALUES_READ_MID_RUN, **invalid}.items():
+        raw = yaml.safe_load(FAST_SAMPLE)
+        mutate(raw)
+        if {**raw, "run": None, "seed": None} == {**plain, "run": None, "seed": None}:
+            entries[f"yaml-{name}"] = _run_kwargs(raw)
+    return entries
+
+
+# The run-block entries, then values the Python API once ran or stopped on
+# with a bare TypeError.
+INVALID_RUN_CONFIGS = {
+    **_run_block_entries(),
+    "paper-literal-no": {"paper_literal": "no"},
+    "ess-with-r": {"resampling": {"kind": "ess", "threshold": 0.5, "r": 3}},
+    "seed-float": {"seed": 1.5},
+    "seed-negative": {"seed": -1},
+    "n-particles-float": {"n_particles": 8.0},
+    "n-steps-float": {"n_steps": 4.0},
+    "clones-float": {"clones": 1.0},
+    "expectation-samples-float": {"weight_scheme": "expectation",
+                                  "expectation_samples": 4.0},
+    "hutchinson-probes-float": {"weight_scheme": "laplacian", "hutchinson_probes": 4.0},
+}
+
+
+def test_run_block_entries_fail_on_their_own_value():
+    # 8 entries of VALUES_READ_MID_RUN and 7 of INVALID_VALUES change only
+    # the run block or seed, and FAST_SAMPLE's own run block builds.
+    assert len(_run_block_entries()) == 15
+    RunConfig(**_run_kwargs(yaml.safe_load(FAST_SAMPLE)))
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_RUN_CONFIGS))
+def test_invalid_run_config_refused_when_built(name):
+    with pytest.raises(ConfigError):
+        RunConfig(**INVALID_RUN_CONFIGS[name])
+
+
+KNOTS = np.linspace(0.0, 1.0, 9) ** 2
+
+# Each entry: (plain Python arguments, another spelling of the same values).
+ACCEPTED_SPELLINGS = {
+    "numpy-counts-and-seed": ({"n_particles": 16, "n_steps": 8, "clones": 2, "seed": 3},
+                              {"n_particles": np.int64(16), "n_steps": np.int64(8),
+                               "clones": np.int64(2), "seed": np.int64(3)}),
+    "numpy-threshold": ({"resampling": {"kind": "ess", "threshold": 0.9}},
+                        {"resampling": {"kind": "ess", "threshold": np.float64(0.9)}}),
+    "tuple-steps": ({"resampling": {"kind": "at_steps", "steps": [2, 5]}},
+                    {"resampling": {"kind": "at_steps", "steps": (2, 5)}}),
+    "ndarray-knots": ({"schedule_times": KNOTS.tolist()}, {"schedule_times": KNOTS}),
+    "int-eps": ({"hutchinson_eps": 1.0}, {"hutchinson_eps": 1}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ACCEPTED_SPELLINGS))
+def test_accepted_spellings_run_bitwise_equal(name):
+    path = MixturePath(standard_normal(1), standard_normal(1),
+                       InterpolantSchedule.linear(eta_offset=0.05))
+    rt = TimeDependentReward(LinearReward([0.5]), "naive", path)
+    common = {"n_steps": 8, "chi": "local_tilt", "weight_scheme": "laplacian",
+              "hutchinson_probes": 4}
+    plain, other = (RunConfig(**{**common, **kwargs}) for kwargs in ACCEPTED_SPELLINGS[name])
+    assert other == plain
+    a, b = run(plain, path, rt), run(other, path, rt)
+    for field in ("positions", "logweights"):
+        assert np.array_equal(getattr(a.ensemble, field), getattr(b.ensemble, field))
+    assert np.array_equal(a.log_z_history, b.log_z_history)
+    assert a.resample_steps == b.resample_steps
 
 
 def test_resolved_yaml_roundtrips():

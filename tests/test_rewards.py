@@ -163,6 +163,14 @@ def test_unknown_mode_rejected():
                                 k_scheme=scheme)
 
 
+def test_flow_of_another_path_rejected():
+    path = std_path()
+    with pytest.raises(ValueError, match="own path"):
+        TimeDependentReward(LinearReward([1.0]), "flowmap_exact", path,
+                            FlowMapEvaluator(std_path()))
+    TimeDependentReward(LinearReward([1.0]), "flowmap_exact", path, FlowMapEvaluator(path))
+
+
 def test_hutchinson_quadratic():
     path = MixturePath(standard_normal(2), standard_normal(2))
     rt = TimeDependentReward(QuadraticReward(1.0), "naive", path)

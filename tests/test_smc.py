@@ -144,6 +144,32 @@ def test_z_smc_examples():
     assert np.isnan(np.exp(result_with(0.0, mode="searching").log_z()))
 
 
+def test_log_z_is_zero_before_the_first_step_and_refuses_other_steps():
+    path = std_path()
+    rt = TimeDependentReward(LinearReward([0.5]), "naive", path)
+    res = run(RunConfig(n_particles=8, n_steps=5, chi="local_tilt", weight_scheme="ito",
+                        seed=0), path, rt)
+    assert res.log_z(0) == 0.0
+    assert res.log_z() == res.log_z(5) == res.log_z_history[-1] != 0.0
+    search = run(RunConfig(n_particles=8, n_steps=5, mode="searching", weight_scheme="ito",
+                           seed=0), path, rt)
+    assert np.isnan(search.log_z(0))
+    for result in (res, search):
+        for k in (-1, 6, 7):
+            with pytest.raises(ValueError, match="K = 5"):
+                result.log_z(k)
+
+
+def test_reward_on_another_path_refused():
+    path, other = std_path(), std_path()
+    rt = TimeDependentReward(LinearReward([0.5]), "denoiser", other)
+    cfg = RunConfig(n_particles=8, n_steps=4, weight_scheme="ito", seed=0)
+    with pytest.raises(ConfigError, match="another path"):
+        run(cfg, path, rt)
+    cfg.check(other, rt)
+    cfg.check(path, TimeDependentReward(LinearReward([0.5]), "naive"))
+
+
 def test_zero_reward_run_is_plain_transport():
     path = std_path()
     rt = TimeDependentReward(ZeroReward(), "naive", path)
@@ -235,14 +261,14 @@ def test_config_validation_errors():
     path = std_path()
     rt = TimeDependentReward(LinearReward([1.0]), "naive", path)
     with pytest.raises(ConfigError):
-        RunConfig(n_particles=0).validate(rt)
+        RunConfig(n_particles=0)
     with pytest.raises(ConfigError):
-        RunConfig(mode="browsing").validate(rt)
+        RunConfig(mode="browsing")
     with pytest.raises(ConfigError):
-        RunConfig(weight_scheme="simplified").validate(rt)
-    # With ito weights each of these is valid but for the value it names;
-    # with the default simplified weights a naive reward fails before them.
-    RunConfig(weight_scheme="ito").validate(rt)
+        RunConfig(weight_scheme="simplified").check(path, rt)
+    # With ito weights each of these is valid for a naive reward but for the
+    # value it names, which is refused when the RunConfig is built.
+    RunConfig(weight_scheme="ito").check(path, rt)
     for bad in ({"resampling": {"kind": "ess", "threshold": 0.0}},
                 {"n_steps": 10, "resampling": {"kind": "every", "r": 3}},
                 {"n_steps": 10, "resampling": {"kind": "at_steps", "steps": [11]}},
@@ -250,7 +276,7 @@ def test_config_validation_errors():
                 {"resampling": {"kind": "ess", "threshold": "0.5"}},
                 {"resampling": {"kind": "at_steps", "steps": 3}}):
         with pytest.raises(ConfigError):
-            RunConfig(weight_scheme="ito", **bad).validate(rt)
+            RunConfig(weight_scheme="ito", **bad)
 
 
 def test_schedule_times_are_honored():
