@@ -22,7 +22,9 @@ Both compute the same outputs:
   log-moments;
 - every file that `fmtt sample`, `refine` and `diagnose` write for the
   refine-cli workload's config at smoke size (`perfbench/workloads.py`
-  `cli_config`) at seeds 7 and 11.
+  `cli_config`) at seeds 7 and 11, and every file that `fmtt search` writes
+  for its searching variant (`mode: searching`, 2 clones, selection every 5
+  steps) at the same seeds.
 
 Every output is reported as bitwise equal, or with its largest absolute
 difference (arrays) or as differing (files).  The exit code is 1 when an
@@ -47,7 +49,7 @@ import numpy as np
 
 REPO = Path(__file__).resolve().parents[1]
 SEEDS = (7, 11)
-CLI_COMMANDS = ("sample", "refine", "diagnose")
+CLI_COMMANDS = ("sample", "refine", "diagnose", "search")
 GRID_MODES = ("naive", "denoiser", "flowmap_ksteps", "flowmap_exact")
 GRID_SCHEMES = ("simplified", "laplacian", "ito", "expectation")
 GRID_CHIS = ("default", "local_tilt", "base")
@@ -73,6 +75,7 @@ def dump(out: str) -> None:
     import fmtt
     import fmtt.cli
     import workloads
+    import yaml
     from spec import SIZES
 
     target = fmtt.GaussianMixture.isotropic([0.3, 0.7], [[-2.0, 0.5], [1.5, -1.0]], 0.4)
@@ -126,11 +129,15 @@ def dump(out: str) -> None:
                 arrays[f"{name}/{seed}/positions"] = res.ensemble.positions
                 arrays[f"{name}/{seed}/logweights"] = res.ensemble.logweights
 
-        config = Path(work) / "refine-cli.yaml"
-        config.write_text(workloads.cli_config(SIZES["refine-cli"]["smoke"]))
+        text = workloads.cli_config(SIZES["refine-cli"]["smoke"])
+        searching = yaml.safe_load(text)
+        searching["run"].update(mode="searching", clones=2, resampling={"kind": "every", "r": 5})
+        configs = {"search": yaml.safe_dump(searching, sort_keys=False)}
+        for command in CLI_COMMANDS:
+            (Path(work) / f"{command}.yaml").write_text(configs.get(command, text))
         for seed in SEEDS:
             for command in CLI_COMMANDS:
-                out_dir = Path(work) / f"{command}-{seed}"
+                config, out_dir = Path(work) / f"{command}.yaml", Path(work) / f"{command}-{seed}"
                 code = fmtt.cli.main([command, "--config", str(config), "--seed", str(seed),
                                       "--out", str(out_dir)])
                 if code != 0:

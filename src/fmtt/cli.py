@@ -62,8 +62,7 @@ def _weighted_mean_with_stderr(result: RunResult):
     return mean, np.sqrt(var)
 
 
-def _diagnostics_summary(trace: dg.DiscrepancyTrace) -> dict:
-    profile = dg.thermodynamic_length(trace)
+def _diagnostics_summary(trace: dg.DiscrepancyTrace, profile: dg.BarrierProfile) -> dict:
     out = {"D_total": dg.total_discrepancy(trace), "Lambda": profile.total}
     try:
         out["quality_ratio"] = dg.quality_ratio(trace)
@@ -75,74 +74,54 @@ def _diagnostics_summary(trace: dg.DiscrepancyTrace) -> dict:
 def _oracle_comparison(cfg: ExperimentConfig, rng: np.random.Generator) -> dict | None:
     """Ground-truth tilted mean where an oracle applies: closed form for
     linear/quadratic tilts of a single-Gaussian target, SNIS otherwise."""
-    kind, params = cfg.reward["kind"], cfg.reward["params"]
+    kind, params, target = cfg.reward["kind"], cfg.reward["params"], cfg.path.target
     if kind == "zero":
         return None
-    if cfg.target.n_components == 1 and cfg.target.dim == 1:
-        mu = float(cfg.target.means[0, 0])
-        var = float(cfg.target.covariances[0, 0, 0])
+    if target.n_components == 1 and target.dim == 1:
+        mu = float(target.means[0, 0])
+        var = float(target.covariances[0, 0, 0])
         if kind in ("linear", "quadratic"):
             strength = params["coeffs"][0] if kind == "linear" else params["gamma"]
             tilt = gaussian_tilt_closed_form(mu, var, **{kind: strength})
             return {"kind": "closed_form", "oracle_mean": tilt.mean,
                     "oracle_stderr": 0.0}
-    if cfg.target.dim <= 2:
-        est = snis_tilted_expectation(cfg.target, cfg.build_base_reward(),
-                                      lambda x: x[:, 0], 10**6, rng)
+    if target.dim <= 2:
+        est = snis_tilted_expectation(target, cfg.rt.base, lambda x: x[:, 0], 10**6, rng)
         return {"kind": "snis", "oracle_mean": est.estimate,
                 "oracle_stderr": est.stderr}
     return None
 
 
-def _prepare(args, mode: str):
-    """Check the config, then make the output directory: a refused command
-    writes nothing."""
-    cfg = ExperimentConfig.from_file(args.config, args.seed)
-    if args.paper_literal:
-        cfg = replace(cfg, run=replace(cfg.run, paper_literal=True))
-    if cfg.run.mode != mode:
-        raise ConfigError(f"{args.command} command requires mode: {mode}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config_resolved.yaml").write_text(cfg.resolved_yaml())
-    path = cfg.build_path()
-    rt = cfg.build_reward(path)
-    return cfg, out, path, rt
-
-
-def cmd_sample(args) -> int:
-    cfg, out, path, rt = _prepare(args, "sampling")
-    result = run(cfg.run, path, rt)
+def cmd_sample(cfg: ExperimentConfig, out: Path) -> dict:
+    result = run(cfg.run, cfg.path, cfg.rt)
     _write_trace_csv(out / "trace.csv", result)
-    summary = {"command": "sample", "seed": cfg.run.seed,
-               "log_z": result.log_z(), "terminal_ess": float(result.ess_history[-1]),
-               "resample_steps": result.resample_steps}
     mean, stderr = _weighted_mean_with_stderr(result)
-    summary["tilted_mean"] = [float(m) for m in mean]
-    summary["tilted_mean_stderr"] = [float(s) for s in stderr]
+    summary = {"log_z": result.log_z(), "terminal_ess": float(result.ess_history[-1]),
+               "resample_steps": result.resample_steps,
+               "tilted_mean": [float(m) for m in mean],
+               "tilted_mean_stderr": [float(s) for s in stderr]}
     oracle = _oracle_comparison(cfg, np.random.default_rng(cfg.run.seed + 10**6))
     if oracle is not None:
         summary["oracle"] = oracle
     if cfg.diagnostics["enabled"]:
         trace = dg.trace_from_run(result, cfg.run.paper_literal)
-        _write_diagnostics_csv(out / "diagnostics.csv", trace,
-                               dg.thermodynamic_length(trace))
-        summary["diagnostics"] = _diagnostics_summary(trace)
-    (out / "summary.json").write_text(json.dumps(summary, indent=2))
-    return 0
+        profile = dg.thermodynamic_length(trace)
+        _write_diagnostics_csv(out / "diagnostics.csv", trace, profile)
+        summary["diagnostics"] = _diagnostics_summary(trace, profile)
+    return summary
 
 
-def cmd_search(args) -> int:
-    cfg, out, path, rt = _prepare(args, "searching")
-    result = run(cfg.run, path, rt)
+def cmd_search(cfg: ExperimentConfig, out: Path) -> dict:
+    result = run(cfg.run, cfg.path, cfg.rt)
     _write_trace_csv(out / "trace.csv", result)
-    terminal_rewards = rt.value(1.0, result.ensemble.positions)
+    terminal_rewards = cfg.rt.value(1.0, result.ensemble.positions)
     baseline_cfg = replace(cfg.run, mode="sampling", clones=1,
                            resampling={"kind": "never"})
-    baseline = run(baseline_cfg, path, rt)
-    base_rewards = rt.value(1.0, baseline.ensemble.positions)
-    summary = {
-        "command": "search", "seed": cfg.run.seed,
+    baseline = run(baseline_cfg, cfg.path, cfg.rt)
+    base_rewards = cfg.rt.value(1.0, baseline.ensemble.positions)
+    np.savetxt(out / "terminal_rewards.csv", terminal_rewards,
+               header="terminal_reward", comments="")
+    return {
         "mean_terminal_reward": float(np.mean(terminal_rewards)),
         "terminal_reward_stderr": float(np.std(terminal_rewards)
                                         / np.sqrt(terminal_rewards.size)),
@@ -151,10 +130,6 @@ def cmd_search(args) -> int:
                                         / np.sqrt(base_rewards.size)),
         "selection_steps": result.resample_steps,
     }
-    np.savetxt(out / "terminal_rewards.csv", terminal_rewards,
-               header="terminal_reward", comments="")
-    (out / "summary.json").write_text(json.dumps(summary, indent=2))
-    return 0
 
 
 def _run_seed(seed: int, rnd: int, j: int) -> int:
@@ -164,47 +139,58 @@ def _run_seed(seed: int, rnd: int, j: int) -> int:
     return int(np.random.SeedSequence([seed, rnd, j]).generate_state(1, np.uint64)[0])
 
 
-def _estimate_trace(cfg: ExperimentConfig, path, rt, schedule_times, rnd: int):
-    results = []
-    for j in range(cfg.diagnostics["n_runs"]):
-        rc = replace(cfg.run, schedule_times=schedule_times,
-                     seed=_run_seed(cfg.run.seed, rnd, j))
-        results.append(run(rc, path, rt))
-    return dg.trace_from_runs(results, cfg.run.paper_literal)
-
-
-def cmd_diagnose(args) -> int:
-    cfg, out, path, rt = _prepare(args, "sampling")
-    trace = _estimate_trace(cfg, path, rt, cfg.run.schedule_times, 0)
+def _round(cfg: ExperimentConfig, times: np.ndarray, rnd: int):
+    """Diagnose round rnd on the knots times: the discrepancy trace of
+    n_runs runs, its barrier profile, the schedule refined from it and the
+    round's summary fields."""
+    results = [run(replace(cfg.run, schedule_times=times,
+                           seed=_run_seed(cfg.run.seed, rnd, j)), cfg.path, cfg.rt)
+               for j in range(cfg.diagnostics["n_runs"])]
+    trace = dg.trace_from_runs(results, cfg.run.paper_literal)
     profile = dg.thermodynamic_length(trace)
-    _write_diagnostics_csv(out / "diagnostics.csv", trace, profile)
     refined = dg.refine_schedule(profile, cfg.run.n_steps)
-    summary = {"command": "diagnose", "seed": cfg.run.seed,
-               "n_runs": cfg.diagnostics["n_runs"], "flat_profile": refined.flat}
-    summary.update(_diagnostics_summary(trace))
+    return trace, profile, refined, {"flat_profile": refined.flat,
+                                     **_diagnostics_summary(trace, profile)}
+
+
+def cmd_diagnose(cfg: ExperimentConfig, out: Path) -> dict:
+    trace, profile, refined, fields = _round(cfg, cfg.run.times(), 0)
+    _write_diagnostics_csv(out / "diagnostics.csv", trace, profile)
     _write_schedule(out / "refined_schedule.yaml", refined.times)
-    (out / "summary.json").write_text(json.dumps(summary, indent=2))
-    return 0
+    return {"n_runs": cfg.diagnostics["n_runs"], **fields}
 
 
-def cmd_refine(args) -> int:
-    cfg, out, path, rt = _prepare(args, "sampling")
-    times = cfg.run.schedule_times
-    rounds = []
+def cmd_refine(cfg: ExperimentConfig, out: Path) -> dict:
+    times, rounds = cfg.run.times(), []
     for rnd in range(cfg.diagnostics["refinement_rounds"]):
-        trace = _estimate_trace(cfg, path, rt, times, rnd)
-        profile = dg.thermodynamic_length(trace)
-        entry = {"round": rnd, "flat_profile": False}
-        entry.update(_diagnostics_summary(trace))
-        refined = dg.refine_schedule(profile, cfg.run.n_steps)
-        entry["flat_profile"] = refined.flat
-        rounds.append(entry)
+        _, _, refined, fields = _round(cfg, times, rnd)
+        rounds.append({"round": rnd, **fields})
         if refined.flat:
             break
         times = refined.times
-    final = np.linspace(0.0, 1.0, cfg.run.n_steps + 1) if times is None else times
-    _write_schedule(out / "refined_schedule.yaml", final)
-    summary = {"command": "refine", "seed": cfg.run.seed, "rounds": rounds}
+    _write_schedule(out / "refined_schedule.yaml", times)
+    return {"rounds": rounds}
+
+
+# Each config command's body, which writes the command's files and returns
+# its summary fields, and the run mode the command requires.
+COMMANDS = {"sample": (cmd_sample, "sampling"), "search": (cmd_search, "searching"),
+            "diagnose": (cmd_diagnose, "sampling"), "refine": (cmd_refine, "sampling")}
+
+
+def _drive(args) -> int:
+    """Run a config command.  The config is checked before the output
+    directory is made, so a refused command writes nothing."""
+    body, mode = COMMANDS[args.command]
+    cfg = ExperimentConfig.from_file(args.config, args.seed)
+    if args.paper_literal:
+        cfg = replace(cfg, run=replace(cfg.run, paper_literal=True))
+    if cfg.run.mode != mode:
+        raise ConfigError(f"{args.command} command requires mode: {mode}")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "config_resolved.yaml").write_text(cfg.resolved_yaml())
+    summary = {"command": args.command, "seed": cfg.run.seed, **body(cfg, out)}
     (out / "summary.json").write_text(json.dumps(summary, indent=2))
     return 0
 
@@ -226,20 +212,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fmtt",
                                      description="Reward-tilted flow sampling toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, needs_config in (("sample", cmd_sample, True),
-                                   ("search", cmd_search, True),
-                                   ("diagnose", cmd_diagnose, True),
-                                   ("refine", cmd_refine, True),
-                                   ("verify", cmd_verify, False)):
+    for name in COMMANDS:
         p = sub.add_parser(name)
-        p.set_defaults(fn=fn)
-        if needs_config:
-            p.add_argument("--config", required=True)
-            p.add_argument("--seed", type=int, default=None)
-            p.add_argument("--out", required=True)
-            p.add_argument("--paper-literal", action="store_true")
-        else:
-            p.add_argument("--only", choices=sorted(SUITES), default=None)
+        p.set_defaults(fn=_drive)
+        p.add_argument("--config", required=True)
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--out", required=True)
+        p.add_argument("--paper-literal", action="store_true")
+    p = sub.add_parser("verify")
+    p.set_defaults(fn=cmd_verify)
+    p.add_argument("--only", choices=sorted(SUITES), default=None)
     return parser
 
 

@@ -9,6 +9,7 @@ own fields, so typos fail fast instead of silently using defaults.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
 
 import yaml
@@ -16,7 +17,7 @@ import yaml
 from .errors import ConfigError
 from .mixtures import GaussianMixture, MixturePath, standard_normal
 from .rewards import (LinearReward, LogResponsibilityReward, QuadraticReward,
-                      Reward, TimeDependentReward, ZeroReward)
+                      TimeDependentReward, ZeroReward)
 from .schedule import InterpolantSchedule
 from .smc import RunConfig, _check_keys, _kind, _resolve
 
@@ -31,11 +32,18 @@ DEFAULTS = {
 }
 
 
+def _plain(value):
+    """A RunConfig value with its tuples as lists and its mappings as dicts."""
+    if isinstance(value, Mapping):
+        return {key: _plain(v) for key, v in value.items()}
+    return list(value) if isinstance(value, tuple) else value
+
+
 def _run_table(run: RunConfig) -> dict:
     """The run block of a RunConfig as the YAML states it."""
     out = {}
     for f in fields(run):
-        value = getattr(run, f.name)
+        value = _plain(getattr(run, f.name))
         group, _, key = f.name.partition("_")
         if group == "hutchinson":
             out.setdefault(group, {})[key] = value
@@ -72,13 +80,31 @@ def _mixture_from_block(block, where: str) -> GaussianMixture:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _lookahead_reward(block: dict, path: MixturePath) -> TimeDependentReward:
+    """The look-ahead reward on path that a resolved reward block states."""
+    kind, params, target = block["kind"], block["params"], path.target
+    try:
+        if kind == "linear" and len(params["coeffs"]) != target.dim:
+            raise ValueError(f"coeffs needs one entry per dimension ({target.dim})")
+        if kind == "log_responsibility":
+            base = LogResponsibilityReward(target, **params)
+        else:
+            base = {"zero": ZeroReward, "linear": LinearReward,
+                    "quadratic": QuadraticReward}[kind](**params)
+        return TimeDependentReward(base, block["mode"], path, k=block["k"])
+    except ValueError as exc:
+        raise ConfigError(f"reward: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated, fully resolved experiment description; ``schedule``,
-    ``reward`` and ``diagnostics`` are the YAML blocks with every key set."""
+    """Validated, fully resolved experiment description: ``path`` and its
+    look-ahead reward ``rt`` are the objects ``run`` was checked against;
+    ``schedule``, ``reward`` and ``diagnostics`` are the YAML blocks with
+    every key set."""
 
-    base: GaussianMixture
-    target: GaussianMixture
+    path: MixturePath
+    rt: TimeDependentReward
     schedule: dict
     run: RunConfig
     reward: dict
@@ -113,46 +139,28 @@ class ExperimentConfig:
             raise ConfigError("diagnostics needs n_runs >= 1 and refinement_rounds >= 0")
 
         seed = raw.get("seed", RunConfig.seed) if seed_override is None else seed_override
-        cfg = cls(base, target, schedule, _run_config(raw.get("run", {}), seed),
-                  reward, diagnostics)
+        run = _run_config(raw.get("run", {}), seed)
         # Fail early on invariants that would otherwise surface mid-run.
-        path = cfg.build_path()
-        cfg.run.check(path, cfg.build_reward(path))
-        return cfg
+        try:
+            path = MixturePath(base, target, InterpolantSchedule.linear(
+                schedule["epsilon"], schedule["eta_offset"]))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        rt = _lookahead_reward(reward, path)
+        run.check(path, rt)
+        return cls(path, rt, schedule, run, reward, diagnostics)
 
     @classmethod
     def from_file(cls, path: str, seed_override: int | None = None) -> "ExperimentConfig":
         with open(path) as fh:
             return cls.from_yaml(fh.read(), seed_override)
 
-    def build_path(self) -> MixturePath:
-        try:
-            return MixturePath(self.base, self.target, InterpolantSchedule.linear(
-                self.schedule["epsilon"], self.schedule["eta_offset"]))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def build_base_reward(self) -> Reward:
-        kind, params = self.reward["kind"], self.reward["params"]
-        if kind == "linear" and len(params["coeffs"]) != self.target.dim:
-            raise ValueError(f"coeffs needs one entry per dimension ({self.target.dim})")
-        if kind == "log_responsibility":
-            return LogResponsibilityReward(self.target, **params)
-        return {"zero": ZeroReward, "linear": LinearReward,
-                "quadratic": QuadraticReward}[kind](**params)
-
-    def build_reward(self, path: MixturePath) -> TimeDependentReward:
-        try:
-            return TimeDependentReward(self.build_base_reward(), self.reward["mode"],
-                                       path, k=self.reward["k"])
-        except ValueError as exc:
-            raise ConfigError(f"reward: {exc}") from exc
-
     def resolved_yaml(self) -> str:
         """Fully resolved snapshot written next to run outputs; parsing it
         gives back the same snapshot."""
         table = {"seed": self.run.seed,
-                 "problem": {"base": self.base.to_dict(), "target": self.target.to_dict()},
+                 "problem": {"base": self.path.base.to_dict(),
+                             "target": self.path.target.to_dict()},
                  "schedule": self.schedule, "run": _run_table(self.run),
                  "reward": self.reward, "diagnostics": self.diagnostics}
         return yaml.safe_dump(table, sort_keys=False)

@@ -10,7 +10,9 @@ top-n states by the current look-ahead reward and recloned.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
+from types import MappingProxyType
 
 import numpy as np
 
@@ -156,16 +158,16 @@ def _resolve(value, default, where: str):
 
 
 def _check_keys(block, allowed, where: str) -> None:
-    if not isinstance(block, dict):
+    if not isinstance(block, Mapping):
         raise ConfigError(f"{where} must be a mapping")
     unknown = set(block) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-def _kind(block: dict, default: str, kinds: dict, where: str) -> str:
+def _kind(block: Mapping, default: str, kinds: dict, where: str) -> str:
     """The kind a block names, which selects the rest of its keys."""
-    if not isinstance(block, dict):
+    if not isinstance(block, Mapping):
         raise ConfigError(f"{where} must be a mapping")
     kind = _resolve(block.get("kind", default), default, f"{where}.kind")
     if kind not in kinds:
@@ -173,19 +175,28 @@ def _kind(block: dict, default: str, kinds: dict, where: str) -> str:
     return kind
 
 
+def _frozen(value):
+    """A resolved value with its lists as tuples and its mappings read-only."""
+    if isinstance(value, dict):
+        return MappingProxyType({key: _frozen(v) for key, v in value.items()})
+    return tuple(value) if isinstance(value, list) else value
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Configuration of one SMC run, checked when built: a value out of range
-    or of another type than its default's is a ConfigError."""
+    or of another type than its default's is a ConfigError.  It cannot be
+    changed once built: ``schedule_times`` and the resampling steps are
+    tuples and ``resampling`` is a read-only mapping."""
 
     n_particles: int = 128
     n_steps: int = 200
     clones: int = 1
-    schedule_times: list[float] | None = None
+    schedule_times: tuple[float, ...] | None = None
     mode: str = "sampling"
     chi: str = "default"
     weight_scheme: str = "simplified"
-    resampling: dict = field(default_factory=lambda: {"kind": "ess"})
+    resampling: Mapping = field(default_factory=lambda: {"kind": "ess"})
     resample_method: str = "systematic"
     expectation_samples: int = 16
     hutchinson_probes: int = 64
@@ -200,12 +211,12 @@ class RunConfig:
             if f.name == "resampling":
                 kind = _kind(value, "ess", RESAMPLING, f.name)
                 default = {"kind": kind, **RESAMPLING[kind]}
-            object.__setattr__(self, f.name, _resolve(value, default, f.name))
+            object.__setattr__(self, f.name, _frozen(_resolve(value, default, f.name)))
         if min(self.n_particles, self.n_steps, self.clones, self.expectation_samples) < 1:
             raise ConfigError("n_particles, n_steps, clones and expectation_samples "
                               "must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be a nonnegative integer")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError("seed must be an integer in [0, 2**64)")
         for name, choices in (("mode", ("sampling", "searching")), ("chi", CHI_CHOICES),
                               ("weight_scheme", WEIGHT_SCHEMES),
                               ("resample_method", RESAMPLE_METHODS)):
@@ -296,7 +307,8 @@ class RunResult:
 def _step_rng(seed: int, step: int, channel: int) -> np.random.Generator:
     """Counter-based generator keyed by (seed, step, channel); thread-safe
     determinism independent of execution order."""
-    return np.random.Generator(np.random.Philox(key=[seed, (step << 8) + channel]))
+    key = np.array([seed, (step << 8) + channel], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def run(cfg: RunConfig, path: MixturePath, rt: TimeDependentReward) -> RunResult:

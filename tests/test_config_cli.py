@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -65,10 +66,9 @@ def test_from_yaml_builds_everything():
     cfg = ExperimentConfig.from_yaml(FAST_SAMPLE)
     assert cfg.run.seed == 5
     assert cfg.run.n_particles == 48
-    path = cfg.build_path()
-    rt = cfg.build_reward(path)
-    assert rt.mode == "naive"
-    assert rt.value(1.0, np.array([[2.0]]))[0] == pytest.approx(1.0)
+    assert cfg.rt.path is cfg.path
+    assert cfg.rt.mode == "naive"
+    assert cfg.rt.value(1.0, np.array([[2.0]]))[0] == pytest.approx(1.0)
 
 
 def test_seed_override():
@@ -170,6 +170,7 @@ VALUES_READ_MID_RUN = {
         d["run"].update(chi="tilted_score"), d["schedule"].update(eta_offset=0.0)),
     "ito-tilted-score-epsilon-zero": lambda d: (
         d["run"].update(chi="tilted_score"), d["schedule"].update(epsilon="zero")),
+    "seed-2-to-the-64": lambda d: d.update(seed=2**64),
 }
 
 
@@ -235,9 +236,9 @@ INVALID_RUN_CONFIGS = {
 
 
 def test_run_block_entries_fail_on_their_own_value():
-    # 8 entries of VALUES_READ_MID_RUN and 7 of INVALID_VALUES change only
+    # 9 entries of VALUES_READ_MID_RUN and 7 of INVALID_VALUES change only
     # the run block or seed, and FAST_SAMPLE's own run block builds.
-    assert len(_run_block_entries()) == 15
+    assert len(_run_block_entries()) == 16
     RunConfig(**_run_kwargs(yaml.safe_load(FAST_SAMPLE)))
 
 
@@ -261,6 +262,22 @@ ACCEPTED_SPELLINGS = {
     "ndarray-knots": ({"schedule_times": KNOTS.tolist()}, {"schedule_times": KNOTS}),
     "int-eps": ({"hutchinson_eps": 1.0}, {"hutchinson_eps": 1}),
 }
+
+
+def test_run_config_cannot_be_changed_after_it_was_checked():
+    cfg = RunConfig(n_steps=4, weight_scheme="ito", schedule_times=KNOTS[::2],
+                    resampling={"kind": "at_steps", "steps": [1, 3]})
+    with pytest.raises(TypeError):
+        cfg.resampling["kind"] = "every"
+    with pytest.raises(TypeError):
+        cfg.resampling["steps"][0] = 0
+    with pytest.raises(TypeError):
+        cfg.schedule_times[1] = 2.0
+    again = replace(cfg, seed=3)
+    assert (again.resampling, again.schedule_times) == (cfg.resampling, cfg.schedule_times)
+    every = replace(cfg, resampling={"kind": "every", "r": 2})
+    with pytest.raises(TypeError):
+        every.resampling["r"] = 0
 
 
 @pytest.mark.parametrize("name", sorted(ACCEPTED_SPELLINGS))
@@ -319,6 +336,22 @@ def test_cli_sample_outputs(tmp_path):
     assert summary["oracle"]["oracle_mean"] == pytest.approx(0.5)
     assert abs(summary["tilted_mean"][0] - 0.5) < 0.5
     assert (out / "config_resolved.yaml").exists()
+
+
+def test_cli_paper_literal_flag_is_the_run_setting(tmp_path):
+    cfg = _write(tmp_path, FAST_SAMPLE)
+    raw = yaml.safe_load(FAST_SAMPLE)
+    raw["run"]["paper_literal"] = True
+    literal = _write(tmp_path, yaml.safe_dump(raw), "literal.yaml")
+    outs = [tmp_path / name for name in ("flag", "setting", "plain")]
+    assert main(["sample", "--config", cfg, "--paper-literal", "--out", str(outs[0])]) == 0
+    assert main(["sample", "--config", literal, "--out", str(outs[1])]) == 0
+    assert main(["sample", "--config", cfg, "--out", str(outs[2])]) == 0
+    flag, setting, plain = ({name: (out / name).read_bytes()
+                             for name in ("summary.json", "config_resolved.yaml")}
+                            for out in outs)
+    assert flag == setting
+    assert flag["summary.json"] != plain["summary.json"]
 
 
 def test_cli_sample_bit_identical_reruns(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fmtt import (FlowMapEvaluator, GaussianMixture, LinearReward,
+from fmtt import (CustomReward, FlowMapEvaluator, GaussianMixture, LinearReward,
                   LogResponsibilityReward, MixturePath, QuadraticReward,
                   TimeDependentReward, ZeroReward, finite_diff_grad,
                   hutchinson_laplacian, standard_normal)
@@ -56,6 +56,17 @@ def test_value_and_grad_is_value_and_grad_bitwise():
         value, grad = r.value_and_grad(x)
         assert np.array_equal(value, r.value(x))
         assert np.array_equal(grad, r.grad(x))
+
+
+def test_custom_reward_central_difference_gradient():
+    quad = QuadraticReward(0.7)
+    custom = CustomReward(quad.value)
+    x = np.random.default_rng(4).normal(size=(5, 3))
+    assert np.allclose(custom.grad(x), quad.grad(x), rtol=0.0, atol=1e-8)
+    target = GaussianMixture.isotropic([0.3, 0.7], [[-1.0, 0.5, 0.0], [1.5, 0.0, -1.0]], 0.4)
+    path = MixturePath(standard_normal(3), target)
+    lookahead = [TimeDependentReward(r, "denoiser", path).grad(0.6, x) for r in (custom, quad)]
+    assert np.allclose(*lookahead, rtol=0.0, atol=1e-8)
 
 
 def test_log_responsibility_component_range():

@@ -279,6 +279,11 @@ def test_config_validation_errors():
             RunConfig(weight_scheme="ito", **bad)
 
 
+def test_seeds_above_2_to_the_63_keep_their_low_bits():
+    draws = [_step_rng(seed, 1, 1).standard_normal(4) for seed in (2**63, 2**63 + 1)]
+    assert not np.array_equal(*draws)
+
+
 def test_schedule_times_are_honored():
     path = std_path()
     rt = TimeDependentReward(ZeroReward(), "naive", path)
