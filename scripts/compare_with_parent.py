@@ -17,9 +17,9 @@ Both compute the same outputs:
 - a grid of short SMC runs (n = 16, K = 8, 4 Hutchinson probes, 4
   expectation samples, seed 7) on the 2-D two-mode target: every look-ahead
   mode x {simplified (flow-map modes only), laplacian, ito, expectation}
-  weights x chi in {default, local_tilt, base} (simplified: default only),
-  each with its final positions and log-weights, log Z history and
-  log-moments;
+  weights x chi in {default, local_tilt, base, tilted_score} (simplified:
+  default only), each with its final positions and log-weights, log Z
+  history and log-moments;
 - every file that `fmtt sample`, `refine` and `diagnose` write for the
   refine-cli workload's config at smoke size (`perfbench/workloads.py`
   `cli_config`) at seeds 7 and 11, and every file that `fmtt search` writes
@@ -52,7 +52,7 @@ SEEDS = (7, 11)
 CLI_COMMANDS = ("sample", "refine", "diagnose", "search")
 GRID_MODES = ("naive", "denoiser", "flowmap_ksteps", "flowmap_exact")
 GRID_SCHEMES = ("simplified", "laplacian", "ito", "expectation")
-GRID_CHIS = ("default", "local_tilt", "base")
+GRID_CHIS = ("default", "local_tilt", "base", "tilted_score")
 INFORMATIONAL = "config_resolved.yaml"
 NAMES = "public_names"
 

@@ -73,12 +73,12 @@ class GaussianMixture:
         k, d = m.shape
         if d < 1 or w.shape != (k,) or c.shape != (k, d, d):
             raise ValueError("mixture shapes must be (k,), (k, d) and (k, d, d) with d >= 1")
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(m)) and np.all(np.isfinite(c))):
+            raise ValueError("mixture weights, means and covariances must be finite")
         if np.any(w <= 0):
             raise ValueError("mixture weights must be strictly positive")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError(f"mixture weights sum to {w.sum()}, not 1")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("covariances must be finite")
         if not np.allclose(c, np.swapaxes(c, -1, -2)):
             raise ValueError("covariances must be symmetric")
         # The Cholesky factorization also validates positive definiteness.
@@ -188,18 +188,18 @@ class MixturePath:
         }
 
     def _pass(self, t: float, x: np.ndarray):
-        """The kernel pass at (t, x) for rows x (n, d), pairs first: schedule
-        scalars (a, b, a_dot, b_dot), responsibilities r (P,n), solves
-        u = Sigma^{-1}(x - mu) (P,n,d), log-density (n,) and the inverse
-        Cholesky factors (P,d,d) of the pair covariances."""
+        """The kernel pass at (t, x) for rows x (n, d), pairs first: the
+        interpolant's (a, b) = (alpha(t), beta(t)), responsibilities r (P,n),
+        solves u = Sigma^{-1}(x - mu) (P,n,d), log-density (n,) and the
+        inverse Cholesky factors (P,d,d) of the pair covariances."""
         if not np.isfinite(x).all():
             raise ValueError("non-finite state")
         s, p = self.schedule, self._pairs
-        a, b, a_dot, b_dot = s.alpha(t), s.beta(t), s.alpha_dot(t), s.beta_dot(t)
+        a, b = s.alpha(t), s.beta(t)
         _, inv_l, logdets = _factor(a * a * p["C"] + b * b * p["S"])
         log_r, log_density, half = _kernel(x, p["log_w"], a * p["m"] + b * p["n"],
                                            inv_l, logdets)
-        return (a, b, a_dot, b_dot), np.exp(log_r), half @ inv_l, log_density, inv_l
+        return (a, b), np.exp(log_r), half @ inv_l, log_density, inv_l
 
     def dynamics(self, t: float, x: np.ndarray, jacobian: str | None = None) -> DynamicsAt:
         """Closed-form velocity, score, denoiser, log-density at (t, x).
@@ -210,12 +210,12 @@ class MixturePath:
         if jacobian not in _JACOBIANS:
             raise ValueError(f"unknown jacobian {jacobian!r}; expected one of {_JACOBIANS}")
         x = np.asarray(x, dtype=float)
-        (a, b, a_dot, b_dot), r, u, log_density, inv_l = self._pass(t, np.atleast_2d(x))
+        (a, b), r, u, log_density, inv_l = self._pass(t, np.atleast_2d(x))
         p = self._pairs
-        # Per-pair velocity v_p = (a_dot*m + b_dot*n) + A_p u_p with
-        # A_p = a_dot*a*C + b_dot*b*S, and denoiser e1_p = n + b*S u_p.
-        lin = {"velocity": a_dot * a * p["C"] + b_dot * b * p["S"], "denoiser": b * p["S"]}
-        v = (a_dot * p["m"] + b_dot * p["n"])[:, None, :] + u @ lin["velocity"].swapaxes(1, 2)
+        # Per-pair denoiser e1_p = n + b*S u_p and velocity v_p = e1_p - e0_p
+        # = (n - m) + A_p u_p with A_p = b*S - a*C.
+        lin = {"velocity": b * p["S"] - a * p["C"], "denoiser": b * p["S"]}
+        v = (p["n"] - p["m"])[:, None, :] + u @ lin["velocity"].swapaxes(1, 2)
         e1 = p["n"][:, None, :] + u @ lin["denoiser"].swapaxes(1, 2)
         score = -np.einsum("pn,pni->ni", r, u)
         jac = None
@@ -235,7 +235,7 @@ class MixturePath:
 
     def conditional_means(self, t: float, x: np.ndarray):
         """Posterior-averaged E[x0 | I_t=x] and E[x1 | I_t=x]."""
-        (a, b, _, _), r, u, _, _ = self._pass(t, np.atleast_2d(np.asarray(x, dtype=float)))
+        (a, b), r, u, _, _ = self._pass(t, np.atleast_2d(np.asarray(x, dtype=float)))
         p = self._pairs
         e1 = p["n"][:, None, :] + b * (u @ p["S"].swapaxes(1, 2))
         e0 = p["m"][:, None, :] + a * (u @ p["C"].swapaxes(1, 2))

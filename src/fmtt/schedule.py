@@ -1,9 +1,8 @@
 """Interpolant schedule: the scalar coefficients that define the transport.
 
-The schedule bundles the interpolation coefficients (alpha, beta), their time
-derivatives, the diffusion coefficient epsilon, and the tilted-score
-multiplier eta.  The default is the linear schedule alpha=1-t, beta=t with
-epsilon=1-t.
+The interpolant is the linear one, I_t = alpha(t) x0 + beta(t) x1 with
+alpha = 1-t and beta = t.  The schedule adds the diffusion coefficient
+epsilon (default 1-t) and the tilted-score multiplier eta.
 """
 
 from __future__ import annotations
@@ -14,22 +13,6 @@ from typing import Callable
 from .errors import ScheduleDomainError
 
 
-def _linear_alpha(t: float) -> float:
-    return 1.0 - t
-
-
-def _linear_beta(t: float) -> float:
-    return t
-
-
-def _linear_alpha_dot(t: float) -> float:
-    return -1.0
-
-
-def _linear_beta_dot(t: float) -> float:
-    return 1.0
-
-
 def _default_epsilon(t: float) -> float:
     return 1.0 - t
 
@@ -38,34 +21,45 @@ def _zero_epsilon(t: float) -> float:
     return 0.0
 
 
+def _nonnegative_constant(value, name: str) -> float:
+    """value as a float, raising ValueError unless it is a finite number >= 0
+    (a bool is not a number)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not 0 <= value < float("inf"):
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class InterpolantSchedule:
-    """Time-dependent coefficients of the interpolant transport.
+    """Time-dependent coefficients of the interpolant transport: the fixed
+    alpha = 1-t and beta = t, and the settable epsilon and eta_offset.
 
-    Invariants: alpha(0)=1, alpha(1)=0, beta(0)=0, beta(1)=1 and
-    epsilon(t) >= 0 on [0,1].  ``eta_offset`` regularizes the tilted-score
-    multiplier near t=0 (the denominator beta is replaced by beta+offset).
+    Invariant: epsilon(t) >= 0 on [0,1].  ``eta_offset`` regularizes the
+    tilted-score multiplier near t=0 (the denominator beta is replaced by
+    beta+offset).
     """
 
-    alpha: Callable[[float], float] = _linear_alpha
-    beta: Callable[[float], float] = _linear_beta
-    alpha_dot: Callable[[float], float] = _linear_alpha_dot
-    beta_dot: Callable[[float], float] = _linear_beta_dot
     epsilon: Callable[[float], float] = _default_epsilon
     eta_offset: float = 0.0
 
     def __post_init__(self):
-        if self.eta_offset < 0:
-            raise ValueError("eta_offset must be >= 0")
-        for t, a, b in [(0.0, 1.0, 0.0), (1.0, 0.0, 1.0)]:
-            if abs(self.alpha(t) - a) > 1e-12 or abs(self.beta(t) - b) > 1e-12:
-                raise ValueError("schedule must satisfy alpha0=1, alpha1=0, beta0=0, beta1=1")
+        _nonnegative_constant(self.eta_offset, "eta_offset")
+
+    @staticmethod
+    def alpha(t: float) -> float:
+        return 1.0 - t
+
+    @staticmethod
+    def beta(t: float) -> float:
+        return t
 
     def eta(self, t: float) -> float:
-        """Tilted-score multiplier alpha*(beta_dot*alpha/(beta+offset) - alpha_dot).
+        """Tilted-score multiplier alpha*(alpha/(beta+offset) + 1).
 
         Raises ScheduleDomainError where the denominator vanishes (t=0 with
-        zero offset on the linear schedule).
+        zero offset).
         """
         a = self.alpha(t)
         if a == 0.0:
@@ -75,13 +69,15 @@ class InterpolantSchedule:
             raise ScheduleDomainError(
                 f"eta undefined at t={t}: beta + offset = 0 (use a positive eta_offset)"
             )
-        return a * (self.beta_dot(t) * a / denom - self.alpha_dot(t))
+        return a * (a / denom + 1.0)
 
     def checked_epsilon(self, t: float) -> float:
-        """epsilon(t), raising ValueError where it is negative."""
+        """epsilon(t), raising ValueError where it is negative or not finite."""
         eps = self.epsilon(t)
         if eps < 0:
             raise ValueError(f"epsilon({t}) = {eps} < 0")
+        if not eps < float("inf"):
+            raise ValueError(f"epsilon({t}) = {eps} is not finite")
         return eps
 
     @classmethod
@@ -90,7 +86,7 @@ class InterpolantSchedule:
         """Linear schedule alpha=1-t, beta=t.
 
         ``epsilon`` may be a callable, "one_minus_t" (default), "zero", or a
-        nonnegative constant.
+        finite nonnegative constant.
         """
         if callable(epsilon):
             eps = epsilon
@@ -99,9 +95,7 @@ class InterpolantSchedule:
         elif epsilon == "zero":
             eps = _zero_epsilon
         elif isinstance(epsilon, (int, float)):
-            if epsilon < 0:
-                raise ValueError("constant epsilon must be >= 0")
-            c = float(epsilon)
+            c = _nonnegative_constant(epsilon, "constant epsilon")
             eps = lambda t, _c=c: _c  # noqa: E731
         else:
             raise ValueError(f"unrecognized epsilon choice: {epsilon!r}")

@@ -131,10 +131,11 @@ RESAMPLING = {"ess": {"threshold": 0.85}, "every": {"r": int},
 
 def _resolve(value, default, where: str):
     """value, checked to have the type of default (an int passes as a float,
-    a bool never as a number).  A mapping gets every key of its default, a
-    type stands for a required value, a list's elements take the type of its
-    first element, and None stands for an optional list of numbers.  Numpy
-    scalars and arrays pass as the Python values they hold, a tuple as a list."""
+    a bool never as a number) and, if a float, to be finite.  A mapping gets
+    every key of its default, a type stands for a required value, a list's
+    elements take the type of its first element, and None stands for an
+    optional list of numbers.  Numpy scalars and arrays pass as the Python
+    values they hold, a tuple as a list."""
     if isinstance(default, dict):
         _check_keys(value, default, where)
         return {key: _resolve(value.get(key, d), d, f"{where}.{key}")
@@ -154,6 +155,8 @@ def _resolve(value, default, where: str):
         value = float(value)
     if type(value) is not want:
         raise ConfigError(f"{where} must be {want.__name__}, got {value!r}")
+    if want is float and not np.isfinite(value):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
     return value
 
 

@@ -135,6 +135,14 @@ INVALID_VALUES = (
     lambda d: (d["problem"].update(base={"standard_normal_dim": 0},
                                    target={"standard_normal_dim": 0}),
                d["reward"].update(kind="zero", params={})),
+    # Non-finite mixture parameters once ran into a degenerate ensemble.
+    lambda d: d["problem"].update(target={"weights": [1.0], "means": [[float("nan")]],
+                                          "covariances": [[[1.0]]]}),
+    lambda d: d["problem"].update(target={"weights": [1.0], "means": [[float("inf")]],
+                                          "covariances": [[[1.0]]]}),
+    lambda d: d["problem"].update(target={"weights": [float("nan"), 0.5],
+                                          "means": [[-1.0], [1.0]],
+                                          "covariances": [[[1.0]], [[1.0]]]}),
 )
 
 
@@ -171,6 +179,17 @@ VALUES_READ_MID_RUN = {
     "ito-tilted-score-epsilon-zero": lambda d: (
         d["run"].update(chi="tilted_score"), d["schedule"].update(epsilon="zero")),
     "seed-2-to-the-64": lambda d: d.update(seed=2**64),
+    "epsilon-nan": lambda d: d["schedule"].update(epsilon=float("nan")),
+    "epsilon-inf": lambda d: d["schedule"].update(epsilon=float("inf")),
+    "schedule-times-nan": lambda d: d["run"].update(
+        n_steps=2, schedule_times=[0.0, float("nan"), 1.0]),
+    "tilted-score-eta-offset-nan": lambda d: (
+        d["run"].update(chi="tilted_score"), d["schedule"].update(eta_offset=float("nan"))),
+    "hutchinson-eps-inf": lambda d: (
+        d["run"].update(weight_scheme="laplacian", hutchinson={"eps": float("inf")}),
+        d["reward"].update(kind="quadratic", params={"gamma": 1.0})),
+    "quadratic-gamma-nan": lambda d: d["reward"].update(
+        kind="quadratic", params={"gamma": float("nan")}),
 }
 
 
@@ -232,13 +251,14 @@ INVALID_RUN_CONFIGS = {
     "expectation-samples-float": {"weight_scheme": "expectation",
                                   "expectation_samples": 4.0},
     "hutchinson-probes-float": {"weight_scheme": "laplacian", "hutchinson_probes": 4.0},
+    "hutchinson-eps-inf": {"weight_scheme": "laplacian", "hutchinson_eps": float("inf")},
 }
 
 
 def test_run_block_entries_fail_on_their_own_value():
-    # 9 entries of VALUES_READ_MID_RUN and 7 of INVALID_VALUES change only
+    # 10 entries of VALUES_READ_MID_RUN and 7 of INVALID_VALUES change only
     # the run block or seed, and FAST_SAMPLE's own run block builds.
-    assert len(_run_block_entries()) == 16
+    assert len(_run_block_entries()) == 17
     RunConfig(**_run_kwargs(yaml.safe_load(FAST_SAMPLE)))
 
 

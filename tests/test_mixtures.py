@@ -27,6 +27,17 @@ def test_covariance_must_be_spd():
         GaussianMixture([1.0], [[0.0, 0.0]], [np.array([[1.0, 0.5], [0.4, 1.0]])])
 
 
+@pytest.mark.parametrize("weights,means,cov", [
+    ([np.nan, 0.5], [[-1.0], [1.0]], 1.0),
+    ([0.5, 0.5], [[np.nan], [1.0]], 1.0),
+    ([0.5, 0.5], [[-1.0], [np.inf]], 1.0),
+    ([0.5, 0.5], [[-1.0], [1.0]], np.inf),
+], ids=["nan-weight", "nan-mean", "inf-mean", "inf-covariance"])
+def test_non_finite_parameters_rejected(weights, means, cov):
+    with pytest.raises(ValueError, match="finite"):
+        GaussianMixture(weights, means, np.full((2, 1, 1), cov))
+
+
 def test_sampling_moments_match_law():
     rng = np.random.default_rng(0)
     x = standard_normal(1).sample(10**6, rng)
@@ -179,8 +190,9 @@ def _per_pair_reference(path, t, x):
     pair: velocity, score, denoiser, log-density and both Jacobians."""
     from scipy.special import logsumexp
 
-    s = path.schedule
-    a, b, a_dot, b_dot = s.alpha(t), s.beta(t), s.alpha_dot(t), s.beta_dot(t)
+    # The linear interpolant I_t = (1 - t) x0 + t x1, whose velocity is
+    # E[x1 - x0 | I_t = x].
+    a, b = 1.0 - t, t
     base, target = path.base, path.target
     n, d = x.shape
     logjoint, us, vs, e1s, ms, bss = [], [], [], [], [], []
@@ -197,8 +209,8 @@ def _per_pair_reference(path, t, x):
             e0 = base.means[i] + a * (C @ u.T).T
             us.append(u)
             e1s.append(e1)
-            vs.append(a_dot * e0 + b_dot * e1)
-            ms.append(np.linalg.solve(cov.T, (a_dot * a * C + b_dot * b * S).T).T)
+            vs.append(e1 - e0)
+            ms.append(np.linalg.solve(cov.T, (b * S - a * C).T).T)
             bss.append(np.linalg.solve(cov.T, (b * S).T).T)
     logjoint = np.stack(logjoint, axis=1)
     log_density = logsumexp(logjoint, axis=1)

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -42,11 +44,27 @@ def test_negative_epsilon_rejected_at_eval():
         s.checked_epsilon(0.5)
 
 
-def test_bad_boundary_schedule_rejected():
-    with pytest.raises(ValueError):
-        InterpolantSchedule(alpha=lambda t: 1.0 - 0.5 * t)
-
-
 def test_negative_offset_rejected():
     with pytest.raises(ValueError):
         InterpolantSchedule.linear(eta_offset=-0.01)
+
+
+def test_interpolant_is_fixed():
+    # Only epsilon and eta_offset are settable, so no coefficient can make
+    # the velocity stop transporting the density.
+    assert [f.name for f in fields(InterpolantSchedule)] == ["epsilon", "eta_offset"]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, True, "0.1"])
+def test_constant_epsilon_and_offset_must_be_finite_numbers(value):
+    with pytest.raises(ValueError):
+        InterpolantSchedule(eta_offset=value)
+    with pytest.raises(ValueError):
+        InterpolantSchedule.linear(epsilon=value)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_epsilon_rejected_at_eval(value):
+    s = InterpolantSchedule.linear(epsilon=lambda t: value)
+    with pytest.raises(ValueError, match="not finite"):
+        s.checked_epsilon(0.5)
