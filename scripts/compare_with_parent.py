@@ -20,6 +20,10 @@ Both compute the same outputs:
   weights x chi in {default, local_tilt, base, tilted_score} (simplified:
   default only), each with its final positions and log-weights, log Z
   history and log-moments;
+- one searching run per look-ahead mode on the same target (n = 16, 2
+  clones, K = 8, top-n selection every 2 steps, tilted_score chi, ito
+  weights, seed 7), with its final positions and log-weights: the record
+  each mode gathers after selection feeds the next step;
 - every file that `fmtt sample`, `refine` and `diagnose` write for the
   refine-cli workload's config at smoke size (`perfbench/workloads.py`
   `cli_config`) at seeds 7 and 11, and every file that `fmtt search` writes
@@ -116,6 +120,12 @@ def dump(out: str) -> None:
                 arrays[f"{key}/logweights"] = res.ensemble.logweights
                 arrays[f"{key}/log_z_history"] = res.log_z_history
                 arrays[f"{key}/log_moments"] = res.log_moments
+        cfg = fmtt.RunConfig(n_particles=16, n_steps=8, clones=2, mode="searching",
+                             chi="tilted_score", weight_scheme="ito",
+                             resampling={"kind": "every", "r": 2}, seed=7)
+        res = fmtt.run(cfg, path, rt)
+        arrays[f"search/{mode}/positions"] = res.ensemble.positions
+        arrays[f"search/{mode}/logweights"] = res.ensemble.logweights
 
     with tempfile.TemporaryDirectory() as work:
         for name, chi, scheme in (("exact-small", "default", "simplified"),

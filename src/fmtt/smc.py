@@ -84,7 +84,11 @@ def weighted_expectation(ensemble_or_logw, h, positions: np.ndarray | None = Non
     if isinstance(ensemble_or_logw, ParticleEnsemble):
         logw, pos = ensemble_or_logw.logweights, ensemble_or_logw.positions
     else:
+        if positions is None:
+            raise ValueError("bare log-weights need the positions they weight")
         logw, pos = np.asarray(ensemble_or_logw, dtype=float), np.atleast_2d(positions)
+        if pos.shape[0] != logw.shape[0]:
+            raise ValueError(f"{logw.shape[0]} log-weights but {pos.shape[0]} positions")
     w = _normalized_weights(logw)
     vals = np.asarray(h(pos), dtype=float)
     return float(np.sum(w * vals)) if vals.ndim == 1 else w @ vals
@@ -360,7 +364,7 @@ def run(cfg: RunConfig, path: MixturePath, rt: TimeDependentReward) -> RunResult
         noise = _step_rng(cfg.seed, k, 1).standard_normal((total, d))
         inp = StepInput(ens.positions, ens.logweights, t, t_next, noise,
                         look, path.dynamics(t, ens.positions))
-        x_next = position_step(inp, chi, rt, path)
+        x_next = position_step(inp, chi, path)
         look = lookahead(t_next, x_next)
 
         if cfg.weight_scheme == "simplified":
@@ -370,7 +374,7 @@ def run(cfg: RunConfig, path: MixturePath, rt: TimeDependentReward) -> RunResult
                 inp, chi, rt, path, cfg.hutchinson_probes, cfg.hutchinson_eps,
                 _step_rng(cfg.seed, k, 2), cfg.hutchinson_probe)
         elif cfg.weight_scheme == "ito":
-            a_next = weight_step_ito(inp, chi, rt, path, x_next, look)
+            a_next = weight_step_ito(inp, chi, rt, path, look)
         else:
             a_next = weight_step_expectation(
                 inp, chi, rt, path, cfg.expectation_samples,

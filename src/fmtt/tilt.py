@@ -50,64 +50,58 @@ class DriftMultiplier:
 
 @dataclass(frozen=True)
 class StepInput:
-    """State, log-weight, step times, and the shared Gaussian increment.
-
-    ``lookahead`` and ``dynamics`` are the look-ahead record of the reward
-    and the path dynamics at (t, x), when the caller has them; a step
-    function computes what it reads of them when they are absent.
-    """
+    """State, log-weight, step times, the shared Gaussian increment, and the
+    look-ahead record of the reward and the path dynamics at (t, x)."""
 
     x: np.ndarray
     logweight: np.ndarray
     t: float
     t_next: float
     noise: np.ndarray
-    lookahead: Lookahead | None = None
-    dynamics: DynamicsAt | None = None
+    lookahead: Lookahead
+    dynamics: DynamicsAt
 
     def __post_init__(self):
         object.__setattr__(self, "x", np.atleast_2d(np.asarray(self.x, dtype=float)))
         object.__setattr__(self, "noise", np.atleast_2d(np.asarray(self.noise, dtype=float)))
         object.__setattr__(self, "logweight",
                            np.atleast_1d(np.asarray(self.logweight, dtype=float)))
+        n, look, dyn = self.x.shape[0], self.lookahead, self.dynamics
         if not self.t < self.t_next:
             raise ValueError("require t < t_next")
         if self.noise.shape != self.x.shape:
             raise ValueError("noise shape must match state shape")
-        if self.logweight.shape[0] != self.x.shape[0]:
+        if self.logweight.shape[0] != n:
             raise ValueError("logweight length must match particle count")
-        if self.lookahead is not None and self.lookahead.value.shape[0] != self.x.shape[0]:
+        if look.value.shape[0] != n or look.terminal.shape[0] != n:
             raise ValueError("look-ahead record length must match particle count")
+        if look.grad is not None and look.grad.shape != self.x.shape:
+            raise ValueError("look-ahead gradient shape must match state shape")
+        if dyn.velocity.shape != self.x.shape or dyn.score.shape != self.x.shape:
+            raise ValueError("dynamics shapes must match state shape")
 
     @property
     def dt(self) -> float:
         return self.t_next - self.t
 
 
-def _dynamics(inp: StepInput, path: MixturePath) -> DynamicsAt:
-    return path.dynamics(inp.t, inp.x) if inp.dynamics is None else inp.dynamics
+def _grad(look: Lookahead) -> np.ndarray:
+    """grad r_t of a record; one made without it is refused, not recomputed."""
+    if look.grad is None:
+        raise ValueError("the look-ahead record carries no grad r_t")
+    return look.grad
 
 
-def _lookahead(look: Lookahead | None, rt: TimeDependentReward, t: float,
-               x: np.ndarray, grad: bool) -> Lookahead:
-    """`look` if it holds what is read (grad r_t when ``grad``), else a new
-    record at (t, x)."""
-    if look is None or (grad and look.grad is None):
-        look = rt.lookahead_value_and_grad(t, x, grad)
-    return look
-
-
-def position_step(inp: StepInput, chi: DriftMultiplier, rt: TimeDependentReward,
-                  path: MixturePath) -> np.ndarray:
+def position_step(inp: StepInput, chi: DriftMultiplier, path: MixturePath) -> np.ndarray:
     """One Euler-Maruyama step of the tilted position SDE."""
     sched = path.schedule
     eps = sched.epsilon(inp.t)
     c = chi.value(sched, inp.t)
-    dyn = _dynamics(inp, path)
+    dyn = inp.dynamics
     drift = dyn.velocity + eps * dyn.score
     coeff = c + eps
     if coeff != 0.0:
-        drift = drift + coeff * _lookahead(inp.lookahead, rt, inp.t, inp.x, True).grad
+        drift = drift + coeff * _grad(inp.lookahead)
     return inp.x + inp.dt * drift + np.sqrt(2.0 * eps * inp.dt) * inp.noise
 
 
@@ -119,11 +113,10 @@ def weight_step_simplified(inp: StepInput, rt: TimeDependentReward) -> np.ndarra
     """
     if not rt.is_flowmap():
         raise SchemeCompatibilityError("simplified weights require a flow-map look-ahead reward")
-    look = _lookahead(inp.lookahead, rt, inp.t, inp.x, False)
-    return inp.logweight + inp.dt * look.terminal
+    return inp.logweight + inp.dt * inp.lookahead.terminal
 
 
-def _increment(inp: StepInput, c: float, rt: TimeDependentReward, path: MixturePath,
+def _increment(inp: StepInput, c: float, rt: TimeDependentReward,
                lap: np.ndarray | float = 0.0):
     """Euler log-weight increment D + c * (||grad r_t||^2 + lap + grad r_t . s_t)
     and grad r_t at (t, x).
@@ -132,17 +125,16 @@ def _increment(inp: StepInput, c: float, rt: TimeDependentReward, path: MixtureP
     d/dt r_t, where d/dt r_t = r(x) in naive mode (r_t = t r) and is a finite
     difference in denoiser and k-step mode.
     """
-    look = _lookahead(inp.lookahead, rt, inp.t, inp.x, True)
-    grad = look.grad
+    look, dyn = inp.lookahead, inp.dynamics
+    grad = _grad(look)
     if rt.mode == "flowmap_exact":
         incr = look.terminal
     else:
         dr_dt = look.terminal if rt.mode == "naive" else rt.time_derivative(inp.t, inp.x)
-        incr = np.einsum("ni,ni->n", _dynamics(inp, path).velocity, grad) + dr_dt
+        incr = np.einsum("ni,ni->n", dyn.velocity, grad) + dr_dt
     if c != 0.0:
-        score = _dynamics(inp, path).score
         incr = incr + c * (np.einsum("ni,ni->n", grad, grad) + lap
-                           + np.einsum("ni,ni->n", grad, score))
+                           + np.einsum("ni,ni->n", grad, dyn.score))
     return incr, grad
 
 
@@ -158,7 +150,7 @@ def weight_step_laplacian(inp: StepInput, chi: DriftMultiplier, rt: TimeDependen
     c = chi.value(path.schedule, inp.t)
     lap = 0.0 if c == 0.0 else hutchinson_laplacian(rt, inp.t, inp.x, m_probes, probe_eps,
                                                      rng, probe)
-    return inp.logweight + inp.dt * _increment(inp, c, rt, path, lap)[0]
+    return inp.logweight + inp.dt * _increment(inp, c, rt, lap)[0]
 
 
 def _ito_coefficient(c: float, eps: float, t: float) -> float:
@@ -172,25 +164,25 @@ def _ito_coefficient(c: float, eps: float, t: float) -> float:
 
 
 def weight_step_ito(inp: StepInput, chi: DriftMultiplier, rt: TimeDependentReward,
-                    path: MixturePath, x_next: np.ndarray,
-                    lookahead_next: Lookahead | None = None) -> np.ndarray:
+                    path: MixturePath, lookahead_next: Lookahead) -> np.ndarray:
     """Log-weight update from the forward/backward Ito integral difference.
 
     The same Gaussian increment used in the position step must be supplied
-    in the StepInput; the forward-integral gradient is evaluated at the
-    post-step state x_next, read from ``lookahead_next`` (the record at
-    (t_next, x_next)) when that carries it.
+    in the StepInput; the forward-integral gradient is read from
+    ``lookahead_next``, the record at the post-step states (t_next, x_next).
     """
     sched = path.schedule
     c_t = chi.value(sched, inp.t)
     c_tn = chi.value(sched, inp.t_next)
-    incr, grad = _increment(inp, c_t, rt, path)
+    incr, grad = _increment(inp, c_t, rt)
     out = inp.logweight + inp.dt * incr
     sq = np.sqrt(inp.dt)
     coef_fwd = _ito_coefficient(c_tn, sched.epsilon(inp.t_next), inp.t_next)
     coef_bwd = _ito_coefficient(c_t, sched.epsilon(inp.t), inp.t)
     if coef_fwd != 0.0:
-        grad_next = _lookahead(lookahead_next, rt, inp.t_next, x_next, True).grad
+        grad_next = _grad(lookahead_next)
+        if grad_next.shape != inp.x.shape:
+            raise ValueError("the record at (t_next, x_next) must be of the states' batch")
         out = out + coef_fwd * sq * np.einsum("ni,ni->n", grad_next, inp.noise)
     if coef_bwd != 0.0:
         out = out - coef_bwd * sq * np.einsum("ni,ni->n", grad, inp.noise)
@@ -214,8 +206,7 @@ def weight_step_expectation(inp: StepInput, chi: DriftMultiplier, rt: TimeDepend
     if m_samples < 1:
         raise ValueError("m_samples must be >= 1")
     c = chi.value(path.schedule, inp.t)
-    dyn = _dynamics(inp, path)
-    r_here = rt.value(inp.t, inp.x) if inp.lookahead is None else inp.lookahead.value
+    dyn, r_here = inp.dynamics, inp.lookahead.value
     if c <= 0.0:
         drift_only = rt.value(inp.t_next, inp.x + inp.dt * dyn.velocity) - r_here
         if c == 0.0:

@@ -271,11 +271,18 @@ def check_hutchinson():
 # --- tilt ---------------------------------------------------------------
 
 
+def _step_input(x, t, t_next, noise, rt, path, grad=True) -> StepInput:
+    """A StepInput at zero log-weight with the look-ahead record (grad r_t
+    when ``grad``) and the path dynamics at (t, x)."""
+    return StepInput(x, np.zeros(x.shape[0]), t, t_next, noise,
+                     rt.lookahead_value_and_grad(t, x, grad), path.dynamics(t, x))
+
+
 def check_position_step_example():
     path = _std_path(epsilon="zero")
     rt = TimeDependentReward(ZeroReward(), "naive", path)
-    inp = StepInput(np.array([[1.0]]), np.zeros(1), 0.0, 0.1, np.zeros((1, 1)))
-    out = position_step(inp, DriftMultiplier("default"), rt, path)
+    inp = _step_input(np.array([[1.0]]), 0.0, 0.1, np.zeros((1, 1)), rt, path)
+    out = position_step(inp, DriftMultiplier("default"), path)
     return abs(out[0, 0] - 0.9) < 1e-12, f"Euler drift step gives {out[0, 0]:.6f}"
 
 
@@ -286,9 +293,9 @@ def check_base_dynamics_neutral():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(16, 1))
     noise = rng.normal(size=(16, 1))
-    inp = StepInput(x, np.zeros(16), 0.3, 0.31, noise)
-    a = position_step(inp, DriftMultiplier("base"), rt, path)
-    b = position_step(inp, DriftMultiplier("default"), rt0, path)
+    a = position_step(_step_input(x, 0.3, 0.31, noise, rt, path), DriftMultiplier("base"), path)
+    b = position_step(_step_input(x, 0.3, 0.31, noise, rt0, path), DriftMultiplier("default"),
+                      path)
     return bool(np.array_equal(a, b)), "base-chi step bitwise equals reward-free step"
 
 
@@ -301,7 +308,7 @@ def check_softmax_shift_invariance():
         shifted = CustomReward(fn=lambda z, c=c: 0.5 * z[:, 0] + c,
                                grad_fn=lambda z: np.full_like(z, 0.5))
         rt = TimeDependentReward(shifted, "flowmap_exact", path, ev)
-        inp = StepInput(x, np.zeros(8), 0.2, 0.21, np.zeros((8, 1)))
+        inp = _step_input(x, 0.2, 0.21, np.zeros((8, 1)), rt, path, grad=False)
         a = weight_step_simplified(inp, rt)
         w = np.exp(a - a.max())
         outs.append(w / w.sum())
@@ -318,9 +325,9 @@ def check_local_tilt_mean_shift():
     for dt in (1e-2, 1e-3):
         x = np.zeros((4000, 1))
         noise = rng.normal(size=(4000, 1))
-        inp = StepInput(x, np.zeros(4000), 0.5, 0.5 + dt, noise)
-        tilted = position_step(inp, DriftMultiplier("local_tilt"), rt, path)
-        plain = position_step(inp, DriftMultiplier("default"), rt, path)
+        inp = _step_input(x, 0.5, 0.5 + dt, noise, rt, path)
+        tilted = position_step(inp, DriftMultiplier("local_tilt"), path)
+        plain = position_step(inp, DriftMultiplier("default"), path)
         shift = float(np.mean(tilted - plain))
         eps = path.schedule.epsilon(0.5)
         expected = dt * eps * 0.5  # grad r_t = t * 1 at t=0.5
@@ -333,7 +340,7 @@ def check_expectation_scheme_example():
     path = _shifted_path()
     rt = TimeDependentReward(LinearReward([0.5]), "flowmap_exact", path,
                              FlowMapEvaluator(path, rel_tol=1e-10, abs_tol=1e-12))
-    inp = StepInput(np.array([[0.0]]), np.zeros(1), 0.0, 0.01, np.zeros((1, 1)))
+    inp = _step_input(np.array([[0.0]]), 0.0, 0.01, np.zeros((1, 1)), rt, path, grad=False)
     a = weight_step_expectation(inp, DriftMultiplier("default"), rt, path)
     return abs(a[0] - 0.005) < 2e-5, f"chi=0 expectation increment {a[0]:.7f} (target ~0.0050)"
 
@@ -342,7 +349,7 @@ def check_simplified_example():
     path = _shifted_path()
     rt = TimeDependentReward(LinearReward([0.5]), "flowmap_exact", path,
                              FlowMapEvaluator(path, rel_tol=1e-10, abs_tol=1e-12))
-    inp = StepInput(np.array([[0.0]]), np.zeros(1), 0.0, 0.01, np.zeros((1, 1)))
+    inp = _step_input(np.array([[0.0]]), 0.0, 0.01, np.zeros((1, 1)), rt, path, grad=False)
     a = weight_step_simplified(inp, rt)
     return abs(a[0] - 0.005) < 1e-9, f"simplified increment {a[0]:.7f} (target 0.005)"
 

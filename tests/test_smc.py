@@ -10,7 +10,7 @@ from fmtt import (ConfigError, DegenerateEnsembleError, DriftMultiplier,
                   ParticleEnsemble, RunConfig, RunResult, StepInput,
                   TimeDependentReward, ZeroReward, ess, position_step, resample,
                   run, standard_normal, top_n_select, weight_step_ito,
-                  weighted_expectation)
+                  weight_step_laplacian, weighted_expectation)
 from fmtt.smc import _step_rng
 
 
@@ -77,6 +77,13 @@ def test_weighted_expectation_examples():
     e = np.e
     assert weighted_expectation(ens2, lambda x: x[:, 0]) == pytest.approx(e / (e + 1))
     assert weighted_expectation(ens2, lambda x: np.ones(x.shape[0])) == pytest.approx(1.0)
+
+
+def test_weighted_expectation_needs_one_position_per_log_weight():
+    with pytest.raises(ValueError, match="positions"):
+        weighted_expectation(np.zeros(3), lambda p: p[:, 0])
+    with pytest.raises(ValueError, match="3 log-weights but 2 positions"):
+        weighted_expectation(np.zeros(3), lambda p: p[:, 0], np.zeros((2, 1)))
 
 
 def test_weighted_expectation_shift_invariant():
@@ -362,8 +369,8 @@ def test_flowmap_run_solve_budget():
 
 
 def _reference_ito_run(cfg, path, rt):
-    """The run loop rebuilt from the public step functions, with bare
-    StepInputs (every look-ahead recomputed at the current states)."""
+    """The run loop rebuilt from the public step functions, with every
+    look-ahead record and the dynamics recomputed at the current states."""
     chi = DriftMultiplier(cfg.chi)
     ts = cfg.times()
     n = cfg.n_particles
@@ -371,9 +378,11 @@ def _reference_ito_run(cfg, path, rt):
     lw = np.zeros(n)
     for k in range(1, cfg.n_steps + 1):
         noise = _step_rng(cfg.seed, k, 1).standard_normal(x.shape)
-        inp = StepInput(x, lw, ts[k - 1], ts[k], noise)
-        x_next = position_step(inp, chi, rt, path)
-        lw = weight_step_ito(inp, chi, rt, path, x_next)
+        t = ts[k - 1]
+        inp = StepInput(x, lw, t, ts[k], noise, rt.lookahead_value_and_grad(t, x),
+                        path.dynamics(t, x))
+        x_next = position_step(inp, chi, path)
+        lw = weight_step_ito(inp, chi, rt, path, rt.lookahead_value_and_grad(ts[k], x_next))
         x = x_next
         if (k < cfg.n_steps and cfg.resampling["kind"] == "ess"
                 and ess(lw) < cfg.resampling["threshold"] * n):
@@ -382,11 +391,13 @@ def _reference_ito_run(cfg, path, rt):
     return x, lw
 
 
-@pytest.mark.parametrize("resampling", [{"kind": "ess", "threshold": 0.85},
-                                        {"kind": "never"}])
-def test_carried_lookahead_matches_recomputed_bitwise(resampling):
+@pytest.mark.parametrize("mode,resampling", [
+    ("naive", {"kind": "ess", "threshold": 0.85}), ("naive", {"kind": "never"}),
+    ("denoiser", {"kind": "ess", "threshold": 0.85}), ("denoiser", {"kind": "never"}),
+], ids=["resampling0", "resampling1", "denoiser-ess", "denoiser-never"])
+def test_carried_lookahead_matches_recomputed_bitwise(mode, resampling):
     target, path = two_mode_path()
-    rt = TimeDependentReward(LogResponsibilityReward(target, 1, 0.5), "naive", path)
+    rt = TimeDependentReward(LogResponsibilityReward(target, 1, 0.5), mode, path)
     cfg = RunConfig(n_particles=32, n_steps=15, chi="tilted_score", weight_scheme="ito",
                     seed=13, resampling=resampling)
     res = run(cfg, path, rt)
@@ -426,3 +437,25 @@ def test_naive_ito_run_reads_dr_dt_from_the_record():
     assert res.resample_steps != []
     assert rt.time_derivatives == 0
     assert rt.lookaheads == cfg.n_steps + 1
+
+
+@pytest.mark.parametrize("step", ["position", "laplacian", "ito", "ito-next"])
+def test_record_without_grad_is_refused_not_recomputed(step):
+    # Each of these reads grad r_t of a record; a record made without it is
+    # an error of the caller, and no look-ahead is evaluated in its place.
+    target, path = two_mode_path()
+    rt = CountingReward(LogResponsibilityReward(target, 1, 0.5), "naive", path)
+    x = np.random.default_rng(3).normal(size=(4, 2))
+    look = rt.lookahead_value_and_grad(0.3, x, step == "ito-next")
+    look_next = rt.lookahead_value_and_grad(0.31, x, step != "ito-next")
+    inp = StepInput(x, np.zeros(4), 0.3, 0.31, np.zeros_like(x), look, path.dynamics(0.3, x))
+    rt.lookaheads = 0
+    with pytest.raises(ValueError, match="grad"):
+        if step == "position":
+            position_step(inp, DriftMultiplier("local_tilt"), path)
+        elif step == "laplacian":
+            weight_step_laplacian(inp, DriftMultiplier("default"), rt, path)
+        else:
+            chi = DriftMultiplier("tilted_score" if step == "ito-next" else "default")
+            weight_step_ito(inp, chi, rt, path, look_next)
+    assert rt.lookaheads == 0

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,13 @@ def shifted_path():
     return MixturePath(standard_normal(1), target)
 
 
+def step_input(x, logweight, t, t_next, noise, rt, path, grad=True):
+    """A StepInput with the look-ahead record (grad r_t when ``grad``) and
+    the path dynamics at (t, x)."""
+    return StepInput(x, logweight, t, t_next, noise,
+                     rt.lookahead_value_and_grad(t, x, grad), path.dynamics(t, x))
+
+
 def test_chi_choices():
     sched = InterpolantSchedule.linear(eta_offset=0.05)
     t = 0.25
@@ -31,19 +40,32 @@ def test_chi_choices():
 
 
 def test_step_input_validation():
+    path = std_path()
+    rt = TimeDependentReward(LinearReward([0.5]), "naive", path)
     with pytest.raises(ValueError):
-        StepInput(np.zeros((2, 1)), np.zeros(2), 0.5, 0.5, np.zeros((2, 1)))
+        step_input(np.zeros((2, 1)), np.zeros(2), 0.5, 0.5, np.zeros((2, 1)), rt, path)
     with pytest.raises(ValueError):
-        StepInput(np.zeros((2, 1)), np.zeros(2), 0.1, 0.2, np.zeros((2, 2)))
+        step_input(np.zeros((2, 1)), np.zeros(2), 0.1, 0.2, np.zeros((2, 2)), rt, path)
     with pytest.raises(ValueError):
-        StepInput(np.zeros((2, 1)), np.zeros(3), 0.1, 0.2, np.zeros((2, 1)))
+        step_input(np.zeros((2, 1)), np.zeros(3), 0.1, 0.2, np.zeros((2, 1)), rt, path)
+    # A record or dynamics of another batch must not broadcast over this one.
+    x = np.linspace(-1.0, 1.0, 4).reshape(-1, 1)
+    inp = step_input(x, np.zeros(4), 0.3, 0.31, np.zeros((4, 1)), rt, path)
+    look, dyn = rt.lookahead_value_and_grad(0.3, x[:1]), path.dynamics(0.3, x[:1])
+    for bad in ({"dynamics": dyn},
+                {"dynamics": replace(inp.dynamics, score=dyn.score)},
+                {"lookahead": look},
+                {"lookahead": replace(inp.lookahead, grad=look.grad)},
+                {"lookahead": replace(inp.lookahead, terminal=look.terminal)}):
+        with pytest.raises(ValueError):
+            replace(inp, **bad)
 
 
 def test_position_step_drift_only_example():
     path = std_path(epsilon="zero")
     rt = TimeDependentReward(ZeroReward(), "naive", path)
-    inp = StepInput(np.array([[1.0]]), np.zeros(1), 0.0, 0.1, np.zeros((1, 1)))
-    out = position_step(inp, DriftMultiplier("default"), rt, path)
+    inp = step_input(np.array([[1.0]]), np.zeros(1), 0.0, 0.1, np.zeros((1, 1)), rt, path)
+    out = position_step(inp, DriftMultiplier("default"), path)
     assert out[0, 0] == pytest.approx(0.9, abs=1e-14)
 
 
@@ -51,9 +73,9 @@ def test_zero_reward_chi_independent():
     path = std_path(eta_offset=0.05)
     rt = TimeDependentReward(ZeroReward(), "naive", path)
     rng = np.random.default_rng(1)
-    inp = StepInput(rng.normal(size=(8, 1)), np.zeros(8), 0.3, 0.31,
-                    rng.normal(size=(8, 1)))
-    outs = [position_step(inp, DriftMultiplier(c), rt, path)
+    inp = step_input(rng.normal(size=(8, 1)), np.zeros(8), 0.3, 0.31,
+                     rng.normal(size=(8, 1)), rt, path)
+    outs = [position_step(inp, DriftMultiplier(c), path)
             for c in ("default", "tilted_score", "local_tilt", "base")]
     for o in outs[1:]:
         assert np.array_equal(outs[0], o)
@@ -64,17 +86,19 @@ def test_base_chi_matches_reward_free_bitwise():
     rt = TimeDependentReward(LinearReward([0.9]), "naive", path)
     rt0 = TimeDependentReward(ZeroReward(), "naive", path)
     rng = np.random.default_rng(2)
-    inp = StepInput(rng.normal(size=(16, 1)), np.zeros(16), 0.4, 0.41,
-                    rng.normal(size=(16, 1)))
-    a = position_step(inp, DriftMultiplier("base"), rt, path)
-    b = position_step(inp, DriftMultiplier("default"), rt0, path)
+    x, noise = rng.normal(size=(16, 1)), rng.normal(size=(16, 1))
+    a = position_step(step_input(x, np.zeros(16), 0.4, 0.41, noise, rt, path),
+                      DriftMultiplier("base"), path)
+    b = position_step(step_input(x, np.zeros(16), 0.4, 0.41, noise, rt0, path),
+                      DriftMultiplier("default"), path)
     assert np.array_equal(a, b)
 
 
 def test_simplified_requires_flowmap_mode():
     path = std_path()
     rt = TimeDependentReward(LinearReward([1.0]), "naive", path)
-    inp = StepInput(np.zeros((1, 1)), np.zeros(1), 0.0, 0.1, np.zeros((1, 1)))
+    inp = step_input(np.zeros((1, 1)), np.zeros(1), 0.0, 0.1, np.zeros((1, 1)), rt, path,
+                     grad=False)
     with pytest.raises(SchemeCompatibilityError):
         weight_step_simplified(inp, rt)
 
@@ -83,10 +107,12 @@ def test_simplified_examples():
     path = shifted_path()
     rt = TimeDependentReward(LinearReward([0.5]), "flowmap_exact", path,
                              FlowMapEvaluator(path, rel_tol=1e-10, abs_tol=1e-12))
-    inp = StepInput(np.array([[0.0]]), np.array([2.0]), 0.0, 0.01, np.zeros((1, 1)))
+    x, noise = np.array([[0.0]]), np.zeros((1, 1))
+    inp = step_input(x, np.array([2.0]), 0.0, 0.01, noise, rt, path, grad=False)
     out = weight_step_simplified(inp, rt)
     assert out[0] == pytest.approx(2.005, abs=1e-9)
     zr = TimeDependentReward(ZeroReward(), "flowmap_exact", path)
+    inp = step_input(x, np.array([2.0]), 0.0, 0.01, noise, zr, path, grad=False)
     assert weight_step_simplified(inp, zr)[0] == 2.0
 
 
@@ -94,7 +120,7 @@ def test_laplacian_flowmap_example():
     path = std_path()
     rt = TimeDependentReward(LinearReward([1.0]), "flowmap_exact", path,
                              FlowMapEvaluator(path, rel_tol=1e-10, abs_tol=1e-12))
-    inp = StepInput(np.array([[2.0]]), np.zeros(1), 0.25, 0.26, np.zeros((1, 1)))
+    inp = step_input(np.array([[2.0]]), np.zeros(1), 0.25, 0.26, np.zeros((1, 1)), rt, path)
     out = weight_step_laplacian(inp, DriftMultiplier("default"), rt, path)
     lookahead = 2.0 * np.sqrt(1.0 / 0.625)
     assert out[0] == pytest.approx(0.01 * lookahead, abs=1e-8)
@@ -103,7 +129,7 @@ def test_laplacian_flowmap_example():
 def test_laplacian_zero_reward_noop():
     path = std_path()
     rt = TimeDependentReward(ZeroReward(), "naive", path)
-    inp = StepInput(np.array([[1.0]]), np.array([0.7]), 0.3, 0.31, np.zeros((1, 1)))
+    inp = step_input(np.array([[1.0]]), np.array([0.7]), 0.3, 0.31, np.zeros((1, 1)), rt, path)
     for chi in ("default", "local_tilt"):
         out = weight_step_laplacian(inp, DriftMultiplier(chi), rt, path,
                                     rng=np.random.default_rng(0))
@@ -116,7 +142,7 @@ def test_laplacian_bracket_matches_symbolic_quadratic():
     path = std_path()
     gamma, t, dt, xv = 0.8, 0.5, 0.01, 1.3
     rt = TimeDependentReward(QuadraticReward(gamma), "naive", path)
-    inp = StepInput(np.array([[xv]]), np.zeros(1), t, t + dt, np.zeros((1, 1)))
+    inp = step_input(np.array([[xv]]), np.zeros(1), t, t + dt, np.zeros((1, 1)), rt, path)
     out = weight_step_laplacian(inp, DriftMultiplier("local_tilt"), rt, path,
                                 m_probes=400, rng=np.random.default_rng(3))
     d = path.dynamics(t, np.array([[xv]]))
@@ -138,7 +164,7 @@ def test_laplacian_transport_term_is_b_dot_grad_plus_time_derivative(mode):
     x = np.random.default_rng(4).normal(size=(32, 2))
     dt = 0.01
     for t in (0.2, 0.5):
-        inp = StepInput(x, np.zeros(32), t, t + dt, np.zeros_like(x))
+        inp = step_input(x, np.zeros(32), t, t + dt, np.zeros_like(x), rt, path)
         incr = weight_step_laplacian(inp, DriftMultiplier("default"), rt, path) / dt
         b = path.dynamics(t, x).velocity
         expected = np.sum(b * rt.grad(t, x), axis=1) + rt.time_derivative(t, x)
@@ -149,9 +175,10 @@ def test_ito_noise_free_reduces_to_drift():
     path = std_path()
     rt = TimeDependentReward(LinearReward([1.0]), "flowmap_exact", path,
                              FlowMapEvaluator(path, rel_tol=1e-10, abs_tol=1e-12))
-    inp = StepInput(np.array([[2.0]]), np.zeros(1), 0.25, 0.26, np.zeros((1, 1)))
-    x_next = position_step(inp, DriftMultiplier("default"), rt, path)
-    out = weight_step_ito(inp, DriftMultiplier("default"), rt, path, x_next)
+    inp = step_input(np.array([[2.0]]), np.zeros(1), 0.25, 0.26, np.zeros((1, 1)), rt, path)
+    x_next = position_step(inp, DriftMultiplier("default"), path)
+    out = weight_step_ito(inp, DriftMultiplier("default"), rt, path,
+                          rt.lookahead_value_and_grad(0.26, x_next))
     ref = weight_step_laplacian(inp, DriftMultiplier("default"), rt, path)
     assert out[0] == pytest.approx(ref[0], abs=1e-12)
 
@@ -164,9 +191,9 @@ def test_ito_matches_hand_rolled_formula():
     rng = np.random.default_rng(11)
     x = rng.normal(size=(4, 1))
     noise = rng.normal(size=(4, 1))
-    inp = StepInput(x, np.zeros(4), t, t2, noise)
-    x_next = position_step(inp, chi, rt, path)
-    out = weight_step_ito(inp, chi, rt, path, x_next)
+    inp = step_input(x, np.zeros(4), t, t2, noise, rt, path)
+    x_next = position_step(inp, chi, path)
+    out = weight_step_ito(inp, chi, rt, path, rt.lookahead_value_and_grad(t2, x_next))
 
     dt = t2 - t
     sched = path.schedule
@@ -182,27 +209,39 @@ def test_ito_matches_hand_rolled_formula():
     assert np.max(np.abs(out - expected)) < 1e-8
 
 
+def test_ito_refuses_a_next_record_of_another_batch():
+    path = std_path(eta_offset=0.05)
+    rt = TimeDependentReward(LinearReward([0.5]), "naive", path)
+    x = np.linspace(-1.0, 1.0, 4).reshape(-1, 1)
+    inp = step_input(x, np.zeros(4), 0.4, 0.41, np.ones((4, 1)), rt, path)
+    with pytest.raises(ValueError, match="batch"):
+        weight_step_ito(inp, DriftMultiplier("tilted_score"), rt, path,
+                        rt.lookahead_value_and_grad(0.41, x[:1]))
+
+
 def test_ito_rejects_zero_diffusion_with_nonzero_chi():
     path = std_path(epsilon="zero")
     rt = TimeDependentReward(LinearReward([1.0]), "naive", path)
-    inp = StepInput(np.array([[1.0]]), np.zeros(1), 0.3, 0.31, np.ones((1, 1)))
+    inp = step_input(np.array([[1.0]]), np.zeros(1), 0.3, 0.31, np.ones((1, 1)), rt, path)
     with pytest.raises(SchemeCompatibilityError):
         weight_step_ito(inp, DriftMultiplier("tilted_score"), rt, path,
-                        np.array([[1.0]]))
+                        rt.lookahead_value_and_grad(0.31, np.array([[1.0]])))
 
 
 def test_ito_allows_zero_diffusion_when_chi_zero():
     path = std_path(epsilon="zero")
     rt = TimeDependentReward(LinearReward([1.0]), "naive", path)
-    inp = StepInput(np.array([[1.0]]), np.zeros(1), 0.3, 0.31, np.ones((1, 1)))
-    out = weight_step_ito(inp, DriftMultiplier("default"), rt, path, np.array([[1.0]]))
+    inp = step_input(np.array([[1.0]]), np.zeros(1), 0.3, 0.31, np.ones((1, 1)), rt, path)
+    out = weight_step_ito(inp, DriftMultiplier("default"), rt, path,
+                          rt.lookahead_value_and_grad(0.31, np.array([[1.0]])))
     assert np.isfinite(out[0])
 
 
 def test_expectation_zero_reward_noop():
     path = std_path()
     rt = TimeDependentReward(ZeroReward(), "naive", path)
-    inp = StepInput(np.array([[0.5]]), np.array([1.2]), 0.3, 0.31, np.zeros((1, 1)))
+    inp = step_input(np.array([[0.5]]), np.array([1.2]), 0.3, 0.31, np.zeros((1, 1)), rt, path,
+                     grad=False)
     for chi in ("default", "local_tilt", "base"):
         out = weight_step_expectation(inp, DriftMultiplier(chi), rt, path, 8,
                                       np.random.default_rng(0))
@@ -213,7 +252,8 @@ def test_expectation_chi_zero_example():
     path = shifted_path()
     rt = TimeDependentReward(LinearReward([0.5]), "flowmap_exact", path,
                              FlowMapEvaluator(path, rel_tol=1e-10, abs_tol=1e-12))
-    inp = StepInput(np.array([[0.0]]), np.zeros(1), 0.0, 0.01, np.zeros((1, 1)))
+    inp = step_input(np.array([[0.0]]), np.zeros(1), 0.0, 0.01, np.zeros((1, 1)), rt, path,
+                     grad=False)
     out = weight_step_expectation(inp, DriftMultiplier("default"), rt, path)
     assert out[0] == pytest.approx(0.005, abs=2e-5)
 
@@ -221,7 +261,8 @@ def test_expectation_chi_zero_example():
 def test_expectation_paper_literal_adds_raw_average():
     path = std_path(eta_offset=0.05)
     rt = TimeDependentReward(LinearReward([0.5]), "naive", path)
-    inp = StepInput(np.array([[0.4]]), np.zeros(1), 0.3, 0.31, np.zeros((1, 1)))
+    inp = step_input(np.array([[0.4]]), np.zeros(1), 0.3, 0.31, np.zeros((1, 1)), rt, path,
+                     grad=False)
     chi = DriftMultiplier("local_tilt")
     log_form = weight_step_expectation(inp, chi, rt, path, 64, np.random.default_rng(5))
     literal = weight_step_expectation(inp, chi, rt, path, 64, np.random.default_rng(5),
@@ -237,9 +278,10 @@ def test_expectation_consistent_with_laplacian_at_chi_zero():
     rt = TimeDependentReward(LinearReward([1.0]), "flowmap_exact", path, flow)
     gaps = []
     for dt in (0.02, 0.01):
-        inp = StepInput(np.array([[1.2]]), np.zeros(1), 0.4, 0.4 + dt, np.zeros((1, 1)))
-        lap = weight_step_laplacian(inp, DriftMultiplier("default"), rt, path)
-        exp = weight_step_expectation(inp, DriftMultiplier("default"), rt, path)
+        args = np.array([[1.2]]), np.zeros(1), 0.4, 0.4 + dt, np.zeros((1, 1)), rt, path
+        lap = weight_step_laplacian(step_input(*args), DriftMultiplier("default"), rt, path)
+        exp = weight_step_expectation(step_input(*args, grad=False), DriftMultiplier("default"),
+                                      rt, path)
         gaps.append(abs(lap[0] - exp[0]))
     assert gaps[1] < 0.4 * gaps[0]
 
@@ -254,7 +296,7 @@ def test_softmax_invariance_under_reward_shift():
         rw = CustomReward(fn=lambda z, c=c: 0.8 * z[:, 0] + c,
                           grad_fn=lambda z: np.full_like(z, 0.8))
         rt = TimeDependentReward(rw, "flowmap_exact", path, ev)
-        inp = StepInput(x, np.zeros(6), 0.3, 0.32, np.zeros((6, 1)))
+        inp = step_input(x, np.zeros(6), 0.3, 0.32, np.zeros((6, 1)), rt, path, grad=False)
         a = weight_step_simplified(inp, rt)
         w = np.exp(a - a.max())
         weights.append(w / w.sum())
@@ -268,8 +310,8 @@ def test_local_tilt_mean_shift():
     for dt in (1e-2, 1e-3):
         x = np.zeros((2000, 1))
         noise = rng.normal(size=(2000, 1))
-        inp = StepInput(x, np.zeros(2000), 0.5, 0.5 + dt, noise)
-        tilted = position_step(inp, DriftMultiplier("local_tilt"), rt, path)
-        plain = position_step(inp, DriftMultiplier("default"), rt, path)
+        inp = step_input(x, np.zeros(2000), 0.5, 0.5 + dt, noise, rt, path)
+        tilted = position_step(inp, DriftMultiplier("local_tilt"), path)
+        plain = position_step(inp, DriftMultiplier("default"), path)
         shift = float(np.mean(tilted - plain))
         assert shift == pytest.approx(dt * 0.5 * 0.5, abs=1e-12)
