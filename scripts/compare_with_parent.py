@@ -26,9 +26,14 @@ Both compute the same outputs:
   each mode gathers after selection feeds the next step;
 - every file that `fmtt sample`, `refine` and `diagnose` write for the
   refine-cli workload's config at smoke size (`perfbench/workloads.py`
-  `cli_config`) at seeds 7 and 11, and every file that `fmtt search` writes
+  `cli_config`) at seeds 7 and 11, every file that `fmtt search` writes
   for its searching variant (`mode: searching`, 2 clones, selection every 5
-  steps) at the same seeds.
+  steps) and every file that `fmtt diagnose --paper-literal` writes for it at
+  `n_runs: 2`, at the same seeds.
+
+Each `RunConfig` is built with the Hutchinson settings in whichever form the
+imported `fmtt` takes them: one `hutchinson` mapping, or the older flat
+`hutchinson_probes`.
 
 Every output is reported as bitwise equal, or with its largest absolute
 difference (arrays) or as differing (files).  The exit code is 1 when an
@@ -42,6 +47,7 @@ They are informational and do not set the exit code.
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import os
 import subprocess
@@ -53,7 +59,10 @@ import numpy as np
 
 REPO = Path(__file__).resolve().parents[1]
 SEEDS = (7, 11)
-CLI_COMMANDS = ("sample", "refine", "diagnose", "search")
+# Output name: (fmtt command, its extra flags).
+CLI_RUNS = {"sample": ("sample", []), "refine": ("refine", []),
+            "diagnose": ("diagnose", []), "search": ("search", []),
+            "diagnose-paper-literal": ("diagnose", ["--paper-literal"])}
 GRID_MODES = ("naive", "denoiser", "flowmap_ksteps", "flowmap_exact")
 GRID_SCHEMES = ("simplified", "laplacian", "ito", "expectation")
 GRID_CHIS = ("default", "local_tilt", "base", "tilted_score")
@@ -72,6 +81,14 @@ def public_names(package) -> list[str]:
         if inspect.isclass(obj):
             names += [f"fmtt.{name}.{a}" for a in dir(obj) if not a.startswith("_")]
     return sorted(names)
+
+
+def hutchinson_probes(fmtt, probes: int) -> dict:
+    """RunConfig arguments that set the Hutchinson probe count, in the form
+    the imported fmtt takes."""
+    if "hutchinson" in {f.name for f in dataclasses.fields(fmtt.RunConfig)}:
+        return {"hutchinson": {"probes": probes}}
+    return {"hutchinson_probes": probes}
 
 
 def dump(out: str) -> None:
@@ -113,7 +130,8 @@ def dump(out: str) -> None:
                 continue
             for chi in ("default",) if scheme == "simplified" else GRID_CHIS:
                 cfg = fmtt.RunConfig(n_particles=16, n_steps=8, chi=chi, weight_scheme=scheme,
-                                     hutchinson_probes=4, expectation_samples=4, seed=7)
+                                     expectation_samples=4, seed=7,
+                                     **hutchinson_probes(fmtt, 4))
                 res = fmtt.run(cfg, path, rt)
                 key = f"grid/{mode}/{scheme}/{chi}"
                 arrays[f"{key}/positions"] = res.ensemble.positions
@@ -142,18 +160,21 @@ def dump(out: str) -> None:
         text = workloads.cli_config(SIZES["refine-cli"]["smoke"])
         searching = yaml.safe_load(text)
         searching["run"].update(mode="searching", clones=2, resampling={"kind": "every", "r": 5})
-        configs = {"search": yaml.safe_dump(searching, sort_keys=False)}
-        for command in CLI_COMMANDS:
-            (Path(work) / f"{command}.yaml").write_text(configs.get(command, text))
+        two_runs = yaml.safe_load(text)
+        two_runs["diagnostics"]["n_runs"] = 2
+        configs = {"search": yaml.safe_dump(searching, sort_keys=False),
+                   "diagnose-paper-literal": yaml.safe_dump(two_runs, sort_keys=False)}
+        for name in CLI_RUNS:
+            (Path(work) / f"{name}.yaml").write_text(configs.get(name, text))
         for seed in SEEDS:
-            for command in CLI_COMMANDS:
-                config, out_dir = Path(work) / f"{command}.yaml", Path(work) / f"{command}-{seed}"
+            for name, (command, flags) in CLI_RUNS.items():
+                config, out_dir = Path(work) / f"{name}.yaml", Path(work) / f"{name}-{seed}"
                 code = fmtt.cli.main([command, "--config", str(config), "--seed", str(seed),
-                                      "--out", str(out_dir)])
+                                      "--out", str(out_dir), *flags])
                 if code != 0:
-                    raise SystemExit(f"fmtt {command} exited with {code}")
+                    raise SystemExit(f"fmtt {command} {' '.join(flags)} exited with {code}")
                 for file in sorted(out_dir.iterdir()):
-                    arrays[f"cli/{command}/{seed}/{file.name}"] = np.frombuffer(
+                    arrays[f"cli/{name}/{seed}/{file.name}"] = np.frombuffer(
                         file.read_bytes(), dtype=np.uint8)
     np.savez(out, **arrays)
 

@@ -35,8 +35,8 @@ from .rewards import (CustomReward, LinearReward, LogResponsibilityReward,
 from .schedule import InterpolantSchedule
 from .smc import (ParticleEnsemble, RunConfig, RunResult, ess, resample, run,
                   top_n_select, weighted_expectation)
-from .tilt import (DriftMultiplier, StepInput, position_step,
-                   weight_step_expectation, weight_step_ito,
-                   weight_step_laplacian, weight_step_simplified)
+from .tilt import (StepInput, position_step, weight_step_expectation,
+                   weight_step_ito, weight_step_laplacian,
+                   weight_step_simplified)
 
 __version__ = "0.1.0"

@@ -1,10 +1,11 @@
 """Experiment configuration: strict YAML schema and object construction.
 
-Each key, type and default is stated once: by `RunConfig`'s fields for the
-run block and the seed, by `smc.RESAMPLING` for its resampling kinds and by
-`DEFAULTS` for the rest.  Unknown keys and values of another type than their
-default's are rejected by `smc._resolve`, which `RunConfig` applies to its
-own fields, so typos fail fast instead of silently using defaults.
+Each key, type and default is stated once: by `RunConfig`'s fields, in the
+YAML's form, for the run block and the seed, by `smc.RESAMPLING` for its
+resampling kinds and by `DEFAULTS` for the rest.  Unknown keys and values of
+another type than their default's are rejected by `smc._resolve`, which
+`RunConfig` applies to its own fields, so typos fail fast instead of
+silently using defaults.
 """
 
 from __future__ import annotations
@@ -41,26 +42,7 @@ def _plain(value):
 
 def _run_table(run: RunConfig) -> dict:
     """The run block of a RunConfig as the YAML states it."""
-    out = {}
-    for f in fields(run):
-        value = _plain(getattr(run, f.name))
-        group, _, key = f.name.partition("_")
-        if group == "hutchinson":
-            out.setdefault(group, {})[key] = value
-        elif f.name != "seed":
-            out[f.name] = value
-    return out
-
-
-def _run_config(block, seed) -> RunConfig:
-    """The RunConfig of a run block, whose hutchinson keys are grouped."""
-    spec = _run_table(RunConfig())
-    _check_keys(block, spec, "run")
-    hutchinson = block.get("hutchinson", {})
-    _check_keys(hutchinson, spec["hutchinson"], "run.hutchinson")
-    settings = {key: v for key, v in block.items() if key != "hutchinson"}
-    return RunConfig(**settings, **{f"hutchinson_{key}": v for key, v in hutchinson.items()},
-                     seed=seed)
+    return {f.name: _plain(getattr(run, f.name)) for f in fields(run) if f.name != "seed"}
 
 
 def _mixture_from_block(block, where: str) -> GaussianMixture:
@@ -139,7 +121,9 @@ class ExperimentConfig:
             raise ConfigError("diagnostics needs n_runs >= 1 and refinement_rounds >= 0")
 
         seed = raw.get("seed", RunConfig.seed) if seed_override is None else seed_override
-        run = _run_config(raw.get("run", {}), seed)
+        block = raw.get("run", {})
+        _check_keys(block, _run_table(RunConfig()), "run")
+        run = RunConfig(**block, seed=seed)
         # Fail early on invariants that would otherwise surface mid-run.
         try:
             path = MixturePath(base, target, InterpolantSchedule.linear(

@@ -97,7 +97,8 @@ def trace_from_run(result, paper_literal: bool = False) -> DiscrepancyTrace:
 
 def trace_from_runs(results, paper_literal: bool = False) -> DiscrepancyTrace:
     """Multi-run discrepancy estimate: per-run self-normalized g-moments are
-    combined with the runs' normalization estimates as relative weights."""
+    combined with the runs' normalization estimates as relative weights, so
+    copies of one run give that run's trace."""
     if len(results) == 0:
         raise ValueError("need at least one run")
     for res in results:
@@ -107,8 +108,12 @@ def trace_from_runs(results, paper_literal: bool = False) -> DiscrepancyTrace:
     # (runs, K, 3): each run's moments at step k, weighted by its log Z at k - 1
     g = np.stack([res.log_moments for res in results])
     log_z = np.stack([np.concatenate([[0.0], res.log_z_history[:-1]]) for res in results])
-    d = np.array([_discrepancy(m, paper_literal)
+    d = np.array([_discrepancy(m, False)
                   for m in _logsumexp(log_z[..., None] + g - g[..., :1])])
+    if paper_literal:
+        # The literal form is the plain one minus 2 log g0, with log g0 the
+        # runs' log sum_n w_n averaged by their weights Z_r.
+        d = d - 2.0 * np.sum(np.exp(log_z - _logsumexp(log_z)) * g[..., 0], axis=0)
     return DiscrepancyTrace(d, results[0].times)
 
 

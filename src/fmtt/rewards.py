@@ -222,14 +222,16 @@ class TimeDependentReward:
 PROBES = ("gaussian", "rademacher")
 
 
-def _check_hutchinson(m_probes: int, eps: float, probe: str) -> None:
-    """Raise ValueError unless these are valid `hutchinson_laplacian` settings."""
+def _check_hutchinson(m_probes: int, eps: float, probe: str, where: str = "") -> None:
+    """Raise ValueError unless these are valid `hutchinson_laplacian` settings;
+    a message names the setting by its key in a config's hutchinson block,
+    after the prefix ``where``."""
     if m_probes < 1:
-        raise ValueError("m_probes must be >= 1")
+        raise ValueError(f"{where}probes (m_probes) must be >= 1, got {m_probes}")
     if not eps > 0:
-        raise ValueError("eps must be > 0")
+        raise ValueError(f"{where}eps must be > 0, got {eps}")
     if probe not in PROBES:
-        raise ValueError(f"unknown probe kind {probe!r}; expected one of {PROBES}")
+        raise ValueError(f"{where}probe must be one of {PROBES}, got {probe!r}")
 
 
 def hutchinson_laplacian(rt: TimeDependentReward, t: float, x: np.ndarray,

@@ -2,7 +2,8 @@
 
 The interpolant is the linear one, I_t = alpha(t) x0 + beta(t) x1 with
 alpha = 1-t and beta = t.  The schedule adds the diffusion coefficient
-epsilon (default 1-t) and the tilted-score multiplier eta.
+epsilon (default 1-t), the tilted-score multiplier eta and the drift
+multiplier chi that each named choice reads from them.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import ScheduleDomainError
+
+CHI_CHOICES = ("default", "tilted_score", "local_tilt", "base")
 
 
 def _default_epsilon(t: float) -> float:
@@ -70,6 +73,20 @@ class InterpolantSchedule:
                 f"eta undefined at t={t}: beta + offset = 0 (use a positive eta_offset)"
             )
         return a * (a / denom + 1.0)
+
+    def chi(self, choice: str, t: float) -> float:
+        """Coefficient chi_t of the extra reward-gradient drift term that a
+        choice names: default 0, tilted_score eta_t, local_tilt eps_t, base
+        -eps_t (cancels the score-tilt term; the reward enters the weights
+        only).  An unknown choice is a ValueError."""
+        if choice == "default":
+            return 0.0
+        if choice == "tilted_score":
+            return self.eta(t)
+        if choice not in CHI_CHOICES:
+            raise ValueError(f"unknown chi choice {choice!r}; expected one of {CHI_CHOICES}")
+        eps = self.epsilon(t)
+        return eps if choice == "local_tilt" else -eps
 
     def checked_epsilon(self, t: float) -> float:
         """epsilon(t), raising ValueError where it is negative or not finite."""

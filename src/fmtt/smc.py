@@ -11,7 +11,7 @@ top-n states by the current look-ahead reward and recloned.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from types import MappingProxyType
 
 import numpy as np
@@ -21,9 +21,10 @@ from .errors import (ConfigError, DegenerateEnsembleError, ScheduleDomainError,
                      SchemeCompatibilityError)
 from .mixtures import MixturePath, _logsumexp
 from .rewards import TimeDependentReward, _check_hutchinson
-from .tilt import (CHI_CHOICES, WEIGHT_SCHEMES, DriftMultiplier, StepInput,
-                   _ito_coefficient, position_step, weight_step_expectation,
-                   weight_step_ito, weight_step_laplacian, weight_step_simplified)
+from .schedule import CHI_CHOICES
+from .tilt import (WEIGHT_SCHEMES, StepInput, _ito_coefficient, position_step,
+                   weight_step_expectation, weight_step_ito, weight_step_laplacian,
+                   weight_step_simplified)
 
 
 @dataclass
@@ -80,8 +81,11 @@ def _normalized_weights(logweights: np.ndarray) -> np.ndarray:
 
 
 def weighted_expectation(ensemble_or_logw, h, positions: np.ndarray | None = None):
-    """Self-normalized weighted mean of the observable h over the ensemble."""
+    """Self-normalized weighted mean of the observable h over the ensemble,
+    or over positions weighted by bare log-weights."""
     if isinstance(ensemble_or_logw, ParticleEnsemble):
+        if positions is not None:
+            raise ValueError("an ensemble carries its own positions")
         logw, pos = ensemble_or_logw.logweights, ensemble_or_logw.positions
     else:
         if positions is None:
@@ -191,10 +195,12 @@ def _frozen(value):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Configuration of one SMC run, checked when built: a value out of range
-    or of another type than its default's is a ConfigError.  It cannot be
-    changed once built: ``schedule_times`` and the resampling steps are
-    tuples and ``resampling`` is a read-only mapping."""
+    """Configuration of one SMC run, in the form of the YAML run block plus
+    the seed, checked when built: a value out of range or of another type
+    than its default's is a ConfigError that names the value by its YAML
+    path (``run.hutchinson.eps``, ``seed``).  It cannot be changed once
+    built: ``schedule_times`` and the resampling steps are tuples and
+    ``resampling`` and ``hutchinson`` are read-only mappings."""
 
     n_particles: int = 128
     n_steps: int = 200
@@ -206,50 +212,52 @@ class RunConfig:
     resampling: Mapping = field(default_factory=lambda: {"kind": "ess"})
     resample_method: str = "systematic"
     expectation_samples: int = 16
-    hutchinson_probes: int = 64
-    hutchinson_eps: float = 1e-3
-    hutchinson_probe: str = "gaussian"
+    hutchinson: Mapping = field(
+        default_factory=lambda: {"probes": 64, "eps": 1e-3, "probe": "gaussian"})
     paper_literal: bool = False
     seed: int = 0
 
     def __post_init__(self):
         for f in fields(self):
-            value, default = getattr(self, f.name), f.default
+            value = getattr(self, f.name)
+            where = f.name if f.name == "seed" else f"run.{f.name}"
             if f.name == "resampling":
-                kind = _kind(value, "ess", RESAMPLING, f.name)
+                kind = _kind(value, "ess", RESAMPLING, where)
                 default = {"kind": kind, **RESAMPLING[kind]}
-            object.__setattr__(self, f.name, _frozen(_resolve(value, default, f.name)))
-        if min(self.n_particles, self.n_steps, self.clones, self.expectation_samples) < 1:
-            raise ConfigError("n_particles, n_steps, clones and expectation_samples "
-                              "must be >= 1")
+            else:
+                default = f.default if f.default_factory is MISSING else f.default_factory()
+            object.__setattr__(self, f.name, _frozen(_resolve(value, default, where)))
+        for name in ("n_particles", "n_steps", "clones", "expectation_samples"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"run.{name} must be >= 1, got {getattr(self, name)}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must be an integer in [0, 2**64)")
         for name, choices in (("mode", ("sampling", "searching")), ("chi", CHI_CHOICES),
                               ("weight_scheme", WEIGHT_SCHEMES),
                               ("resample_method", RESAMPLE_METHODS)):
             if getattr(self, name) not in choices:
-                raise ConfigError(f"unknown {name} {getattr(self, name)!r}; "
+                raise ConfigError(f"unknown run.{name} {getattr(self, name)!r}; "
                                   f"expected one of {sorted(choices)}")
         if self.weight_scheme == "simplified" and self.chi != "default":
-            raise ConfigError("simplified weights require chi = default")
+            raise ConfigError("run.chi must be default with simplified weights")
+        h = self.hutchinson
         try:
-            _check_hutchinson(self.hutchinson_probes, self.hutchinson_eps,
-                              self.hutchinson_probe)
+            _check_hutchinson(h["probes"], h["eps"], h["probe"], "run.hutchinson.")
         except ValueError as exc:
-            raise ConfigError(f"hutchinson: {exc}") from exc
+            raise ConfigError(str(exc)) from exc
         spec = self.resampling
         if spec["kind"] == "ess" and not 0.0 < spec["threshold"] <= 1.0:
-            raise ConfigError("ESS threshold must be in (0, 1]")
+            raise ConfigError("run.resampling.threshold must be in (0, 1]")
         if spec["kind"] == "every" and not (spec["r"] >= 1 and self.n_steps % spec["r"] == 0):
-            raise ConfigError("periodic resampling interval must divide n_steps")
+            raise ConfigError("run.resampling.r must divide run.n_steps")
         if spec["kind"] == "at_steps" and not all(1 <= s <= self.n_steps
                                                   for s in spec["steps"]):
-            raise ConfigError("explicit resampling steps must lie in [1, n_steps]")
+            raise ConfigError("run.resampling.steps must lie in [1, run.n_steps]")
         ts = self.times()
         if ts.shape[0] != self.n_steps + 1:
-            raise ConfigError("schedule must have n_steps + 1 knots")
+            raise ConfigError("run.schedule_times must have run.n_steps + 1 knots")
         if ts[0] != 0.0 or ts[-1] != 1.0 or np.any(np.diff(ts) <= 0):
-            raise ConfigError("schedule must increase strictly from 0 to 1")
+            raise ConfigError("run.schedule_times must increase strictly from 0 to 1")
 
     def times(self) -> np.ndarray:
         if self.schedule_times is None:
@@ -264,16 +272,16 @@ class RunConfig:
         if rt.path is not None and rt.path is not path:
             raise ConfigError("the reward's look-ahead reads another path than the run's")
         if self.weight_scheme == "simplified" and not rt.is_flowmap():
-            raise ConfigError("simplified weights require a flow-map look-ahead reward")
-        chi, schedule = DriftMultiplier(self.chi), path.schedule
+            raise ConfigError("run.weight_scheme simplified needs a flow-map look-ahead")
+        schedule = path.schedule
         for t in self.times():
             eps = schedule.checked_epsilon(t)
             try:
-                c = chi.value(schedule, t)
+                c = schedule.chi(self.chi, t)
                 if self.weight_scheme == "ito":
                     _ito_coefficient(c, eps, t)
             except (ScheduleDomainError, SchemeCompatibilityError) as exc:
-                raise ConfigError(f"chi {self.chi}: {exc}") from exc
+                raise ConfigError(f"run.chi {self.chi}: {exc}") from exc
 
 
 @dataclass
@@ -284,6 +292,7 @@ class RunResult:
     with w_n the weight of particle n before the step and g_n its incremental
     weight, and ``log_g_finite[k]`` whether every log g_n was finite; the
     discrepancy diagnostics read nothing else of the weights.
+    ``log_z_history`` is NaN when searching, which estimates no normalization.
     """
 
     ensemble: ParticleEnsemble
@@ -328,8 +337,7 @@ def run(cfg: RunConfig, path: MixturePath, rt: TimeDependentReward) -> RunResult
     """
     cfg.check(path, rt)
     ts = cfg.times()
-    sched = path.schedule
-    chi = DriftMultiplier(cfg.chi)
+    sched, chi = path.schedule, cfg.chi
     n, c = cfg.n_particles, cfg.clones
     total = n * c
     d = path.dim
@@ -338,7 +346,7 @@ def run(cfg: RunConfig, path: MixturePath, rt: TimeDependentReward) -> RunResult
     def lookahead(t: float, x: np.ndarray):
         # grad r_t is read by the position step where its coefficient
         # chi + eps is nonzero, and by the laplacian and ito weights.
-        grad = grad_weights or chi.value(sched, t) + sched.epsilon(t) != 0.0
+        grad = grad_weights or sched.chi(chi, t) + sched.epsilon(t) != 0.0
         return rt.lookahead_value_and_grad(t, x, grad)
 
     init_rng = _step_rng(cfg.seed, 0, 0)
@@ -370,9 +378,9 @@ def run(cfg: RunConfig, path: MixturePath, rt: TimeDependentReward) -> RunResult
         if cfg.weight_scheme == "simplified":
             a_next = weight_step_simplified(inp, rt)
         elif cfg.weight_scheme == "laplacian":
-            a_next = weight_step_laplacian(
-                inp, chi, rt, path, cfg.hutchinson_probes, cfg.hutchinson_eps,
-                _step_rng(cfg.seed, k, 2), cfg.hutchinson_probe)
+            h = cfg.hutchinson
+            a_next = weight_step_laplacian(inp, chi, rt, path, h["probes"], h["eps"],
+                                           _step_rng(cfg.seed, k, 2), h["probe"])
         elif cfg.weight_scheme == "ito":
             a_next = weight_step_ito(inp, chi, rt, path, look)
         else:
@@ -387,7 +395,7 @@ def run(cfg: RunConfig, path: MixturePath, rt: TimeDependentReward) -> RunResult
 
         ess_hist[k - 1] = ess(ens.logweights)
         log_mean_w = float(_logsumexp(ens.logweights) - np.log(total))
-        log_z_hist[k - 1] = log_z_events + log_mean_w
+        log_z_hist[k - 1] = log_z_events + log_mean_w if cfg.mode == "sampling" else np.nan
         mean_r_hist[k - 1] = float(np.mean(look.value))
 
         if k == K:

@@ -4,10 +4,11 @@ One Euler-Maruyama step of the tilted position dynamics
 
     x' = x + dt * [b_t + chi_t * grad r_t + eps_t * (s_t + grad r_t)] + sqrt(2 eps_t dt) * xi
 
-for any drift-multiplier choice chi, together with four discretizations of
-the accompanying log-weight ODE: the flow-map simplification (valid for
-chi = 0), a Laplacian-corrected Euler update, an Ito forward/backward
-difference update, and an inner-expectation update.
+for a drift-multiplier choice chi, named as `InterpolantSchedule.chi` reads
+it, together with four discretizations of the accompanying log-weight ODE:
+the flow-map simplification (valid for chi = 0), a Laplacian-corrected
+Euler update, an Ito forward/backward difference update, and an
+inner-expectation update.
 """
 
 from __future__ import annotations
@@ -20,32 +21,7 @@ from .errors import SchemeCompatibilityError
 from .mixtures import DynamicsAt, MixturePath, _logsumexp
 from .rewards import Lookahead, TimeDependentReward, hutchinson_laplacian
 
-CHI_CHOICES = ("default", "tilted_score", "local_tilt", "base")
 WEIGHT_SCHEMES = ("simplified", "laplacian", "ito", "expectation")
-
-
-@dataclass(frozen=True)
-class DriftMultiplier:
-    """Selects the coefficient chi_t of the extra reward-gradient drift term.
-
-    default: chi = 0; tilted_score: chi = eta_t; local_tilt: chi = eps_t;
-    base: chi = -eps_t (cancels the score-tilt term, reward enters weights
-    only).
-    """
-
-    choice: str = "default"
-
-    def __post_init__(self):
-        if self.choice not in CHI_CHOICES:
-            raise ValueError(f"unknown chi choice {self.choice!r}; expected one of {CHI_CHOICES}")
-
-    def value(self, schedule, t: float) -> float:
-        if self.choice == "default":
-            return 0.0
-        if self.choice == "tilted_score":
-            return schedule.eta(t)
-        eps = schedule.epsilon(t)
-        return eps if self.choice == "local_tilt" else -eps
 
 
 @dataclass(frozen=True)
@@ -92,11 +68,11 @@ def _grad(look: Lookahead) -> np.ndarray:
     return look.grad
 
 
-def position_step(inp: StepInput, chi: DriftMultiplier, path: MixturePath) -> np.ndarray:
+def position_step(inp: StepInput, chi: str, path: MixturePath) -> np.ndarray:
     """One Euler-Maruyama step of the tilted position SDE."""
     sched = path.schedule
     eps = sched.epsilon(inp.t)
-    c = chi.value(sched, inp.t)
+    c = sched.chi(chi, inp.t)
     dyn = inp.dynamics
     drift = dyn.velocity + eps * dyn.score
     coeff = c + eps
@@ -138,7 +114,7 @@ def _increment(inp: StepInput, c: float, rt: TimeDependentReward,
     return incr, grad
 
 
-def weight_step_laplacian(inp: StepInput, chi: DriftMultiplier, rt: TimeDependentReward,
+def weight_step_laplacian(inp: StepInput, chi: str, rt: TimeDependentReward,
                           path: MixturePath, m_probes: int = 64, probe_eps: float = 1e-3,
                           rng: np.random.Generator | None = None,
                           probe: str = "gaussian") -> np.ndarray:
@@ -147,7 +123,7 @@ def weight_step_laplacian(inp: StepInput, chi: DriftMultiplier, rt: TimeDependen
     A' = A + dt * [D + chi * (||grad r_t||^2 + lap r_t + grad r_t . s_t)];
     the Laplacian estimate is skipped entirely when chi = 0.
     """
-    c = chi.value(path.schedule, inp.t)
+    c = path.schedule.chi(chi, inp.t)
     lap = 0.0 if c == 0.0 else hutchinson_laplacian(rt, inp.t, inp.x, m_probes, probe_eps,
                                                      rng, probe)
     return inp.logweight + inp.dt * _increment(inp, c, rt, lap)[0]
@@ -163,7 +139,7 @@ def _ito_coefficient(c: float, eps: float, t: float) -> float:
     return c / np.sqrt(2.0 * eps)
 
 
-def weight_step_ito(inp: StepInput, chi: DriftMultiplier, rt: TimeDependentReward,
+def weight_step_ito(inp: StepInput, chi: str, rt: TimeDependentReward,
                     path: MixturePath, lookahead_next: Lookahead) -> np.ndarray:
     """Log-weight update from the forward/backward Ito integral difference.
 
@@ -172,8 +148,8 @@ def weight_step_ito(inp: StepInput, chi: DriftMultiplier, rt: TimeDependentRewar
     ``lookahead_next``, the record at the post-step states (t_next, x_next).
     """
     sched = path.schedule
-    c_t = chi.value(sched, inp.t)
-    c_tn = chi.value(sched, inp.t_next)
+    c_t = sched.chi(chi, inp.t)
+    c_tn = sched.chi(chi, inp.t_next)
     incr, grad = _increment(inp, c_t, rt)
     out = inp.logweight + inp.dt * incr
     sq = np.sqrt(inp.dt)
@@ -189,7 +165,7 @@ def weight_step_ito(inp: StepInput, chi: DriftMultiplier, rt: TimeDependentRewar
     return out
 
 
-def weight_step_expectation(inp: StepInput, chi: DriftMultiplier, rt: TimeDependentReward,
+def weight_step_expectation(inp: StepInput, chi: str, rt: TimeDependentReward,
                             path: MixturePath, m_samples: int = 16,
                             rng: np.random.Generator | None = None,
                             paper_literal: bool = False) -> np.ndarray:
@@ -205,7 +181,7 @@ def weight_step_expectation(inp: StepInput, chi: DriftMultiplier, rt: TimeDepend
     """
     if m_samples < 1:
         raise ValueError("m_samples must be >= 1")
-    c = chi.value(path.schedule, inp.t)
+    c = path.schedule.chi(chi, inp.t)
     dyn, r_here = inp.dynamics, inp.lookahead.value
     if c <= 0.0:
         drift_only = rt.value(inp.t_next, inp.x + inp.dt * dyn.velocity) - r_here

@@ -20,8 +20,8 @@ from .rewards import (CustomReward, LinearReward, QuadraticReward,
 from .schedule import InterpolantSchedule
 from .smc import (ParticleEnsemble, RunConfig, ess, resample, run,
                   top_n_select, weighted_expectation)
-from .tilt import (DriftMultiplier, StepInput, position_step,
-                   weight_step_expectation, weight_step_simplified)
+from .tilt import (StepInput, position_step, weight_step_expectation,
+                   weight_step_simplified)
 
 
 def _std_path(dim: int = 1, epsilon="one_minus_t") -> MixturePath:
@@ -282,7 +282,7 @@ def check_position_step_example():
     path = _std_path(epsilon="zero")
     rt = TimeDependentReward(ZeroReward(), "naive", path)
     inp = _step_input(np.array([[1.0]]), 0.0, 0.1, np.zeros((1, 1)), rt, path)
-    out = position_step(inp, DriftMultiplier("default"), path)
+    out = position_step(inp, "default", path)
     return abs(out[0, 0] - 0.9) < 1e-12, f"Euler drift step gives {out[0, 0]:.6f}"
 
 
@@ -293,9 +293,8 @@ def check_base_dynamics_neutral():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(16, 1))
     noise = rng.normal(size=(16, 1))
-    a = position_step(_step_input(x, 0.3, 0.31, noise, rt, path), DriftMultiplier("base"), path)
-    b = position_step(_step_input(x, 0.3, 0.31, noise, rt0, path), DriftMultiplier("default"),
-                      path)
+    a = position_step(_step_input(x, 0.3, 0.31, noise, rt, path), "base", path)
+    b = position_step(_step_input(x, 0.3, 0.31, noise, rt0, path), "default", path)
     return bool(np.array_equal(a, b)), "base-chi step bitwise equals reward-free step"
 
 
@@ -326,8 +325,8 @@ def check_local_tilt_mean_shift():
         x = np.zeros((4000, 1))
         noise = rng.normal(size=(4000, 1))
         inp = _step_input(x, 0.5, 0.5 + dt, noise, rt, path)
-        tilted = position_step(inp, DriftMultiplier("local_tilt"), path)
-        plain = position_step(inp, DriftMultiplier("default"), path)
+        tilted = position_step(inp, "local_tilt", path)
+        plain = position_step(inp, "default", path)
         shift = float(np.mean(tilted - plain))
         eps = path.schedule.epsilon(0.5)
         expected = dt * eps * 0.5  # grad r_t = t * 1 at t=0.5
@@ -341,7 +340,7 @@ def check_expectation_scheme_example():
     rt = TimeDependentReward(LinearReward([0.5]), "flowmap_exact", path,
                              FlowMapEvaluator(path, rel_tol=1e-10, abs_tol=1e-12))
     inp = _step_input(np.array([[0.0]]), 0.0, 0.01, np.zeros((1, 1)), rt, path, grad=False)
-    a = weight_step_expectation(inp, DriftMultiplier("default"), rt, path)
+    a = weight_step_expectation(inp, "default", rt, path)
     return abs(a[0] - 0.005) < 2e-5, f"chi=0 expectation increment {a[0]:.7f} (target ~0.0050)"
 
 

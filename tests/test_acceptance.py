@@ -8,9 +8,9 @@ brute-force oracles at fixed seeds.
 import numpy as np
 import pytest
 
-from fmtt import (BarrierProfile, DiscrepancyTrace, DriftMultiplier,
-                  FlowMapEvaluator, GaussianMixture, InterpolantSchedule,
-                  LinearReward, LogResponsibilityReward, MixturePath,
+from fmtt import (BarrierProfile, DiscrepancyTrace, FlowMapEvaluator,
+                  GaussianMixture, InterpolantSchedule, LinearReward,
+                  LogResponsibilityReward, MixturePath,
                   QuadraticReward, RunConfig, TimeDependentReward, ZeroReward,
                   hutchinson_laplacian, incremental_discrepancy,
                   quality_ratio, refine_schedule, run, snis_tilted_expectation,

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -217,10 +218,7 @@ def test_cli_value_read_mid_run_exits_2_before_running(tmp_path, capsys):
 
 def _run_kwargs(raw):
     """The run block and seed of a parsed config as RunConfig arguments."""
-    settings = dict(raw["run"])
-    hutchinson = settings.pop("hutchinson", {})
-    return {**settings, "seed": raw["seed"],
-            **{f"hutchinson_{key}": v for key, v in hutchinson.items()}}
+    return {**raw["run"], "seed": raw["seed"]}
 
 
 def _run_block_entries():
@@ -250,8 +248,8 @@ INVALID_RUN_CONFIGS = {
     "clones-float": {"clones": 1.0},
     "expectation-samples-float": {"weight_scheme": "expectation",
                                   "expectation_samples": 4.0},
-    "hutchinson-probes-float": {"weight_scheme": "laplacian", "hutchinson_probes": 4.0},
-    "hutchinson-eps-inf": {"weight_scheme": "laplacian", "hutchinson_eps": float("inf")},
+    "hutchinson-probes-float": {"weight_scheme": "laplacian", "hutchinson": {"probes": 4.0}},
+    "hutchinson-eps-inf": {"weight_scheme": "laplacian", "hutchinson": {"eps": float("inf")}},
 }
 
 
@@ -268,6 +266,33 @@ def test_invalid_run_config_refused_when_built(name):
         RunConfig(**INVALID_RUN_CONFIGS[name])
 
 
+def _refusals(settings):
+    """The messages with which ExperimentConfig.from_yaml and RunConfig(...)
+    refuse the run block and seed that settings give."""
+    raw = yaml.safe_load(FAST_SAMPLE)
+    raw["run"] = {key: v for key, v in settings.items() if key != "seed"}
+    raw["seed"] = settings.get("seed", raw["seed"])
+    with pytest.raises(ConfigError) as from_yaml:
+        ExperimentConfig.from_yaml(yaml.safe_dump(raw))
+    with pytest.raises(ConfigError) as from_python:
+        RunConfig(**settings)
+    return str(from_yaml.value), str(from_python.value)
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_RUN_CONFIGS))
+def test_refused_run_value_named_by_its_yaml_path_alike(name):
+    from_yaml, from_python = _refusals(INVALID_RUN_CONFIGS[name])
+    assert from_yaml == from_python
+    assert re.search(r"(^|\s)(run\.\w+|seed)\b", from_python), from_python
+
+
+@pytest.mark.parametrize("where,name", [("run.hutchinson.eps", "hutchinson-eps-inf"),
+                                        ("run.schedule_times[1]", "yaml-schedule-times-nan")])
+def test_nested_run_value_named_by_its_yaml_path(where, name):
+    for message in _refusals(INVALID_RUN_CONFIGS[name]):
+        assert message.startswith(f"{where} must be finite"), message
+
+
 KNOTS = np.linspace(0.0, 1.0, 9) ** 2
 
 # Each entry: (plain Python arguments, another spelling of the same values).
@@ -280,7 +305,8 @@ ACCEPTED_SPELLINGS = {
     "tuple-steps": ({"resampling": {"kind": "at_steps", "steps": [2, 5]}},
                     {"resampling": {"kind": "at_steps", "steps": (2, 5)}}),
     "ndarray-knots": ({"schedule_times": KNOTS.tolist()}, {"schedule_times": KNOTS}),
-    "int-eps": ({"hutchinson_eps": 1.0}, {"hutchinson_eps": 1}),
+    "int-eps": ({"hutchinson": {"probes": 4, "eps": 1.0}},
+                {"hutchinson": {"probes": 4, "eps": 1}}),
 }
 
 
@@ -306,7 +332,7 @@ def test_accepted_spellings_run_bitwise_equal(name):
                        InterpolantSchedule.linear(eta_offset=0.05))
     rt = TimeDependentReward(LinearReward([0.5]), "naive", path)
     common = {"n_steps": 8, "chi": "local_tilt", "weight_scheme": "laplacian",
-              "hutchinson_probes": 4}
+              "hutchinson": {"probes": 4}}
     plain, other = (RunConfig(**{**common, **kwargs}) for kwargs in ACCEPTED_SPELLINGS[name])
     assert other == plain
     a, b = run(plain, path, rt), run(other, path, rt)
@@ -400,6 +426,9 @@ def test_cli_search_outputs(tmp_path):
     assert summary["selection_steps"] == [15]
     assert "baseline_mean_terminal_reward" in summary
     assert (out / "terminal_rewards.csv").exists()
+    with open(out / "trace.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 30 and all(row["logZ"] == "nan" for row in rows)
 
 
 def test_cli_search_rejects_sampling_config(tmp_path):

@@ -174,6 +174,19 @@ def test_trace_from_runs_single_falls_back():
         trace_from_runs([])
 
 
+@pytest.mark.parametrize("paper_literal", [False, True])
+def test_copies_of_one_run_give_its_trace(paper_literal):
+    path = MixturePath(standard_normal(1), standard_normal(1))
+    rt = TimeDependentReward(LinearReward([1.0]), "naive", path)
+    r = run(RunConfig(n_particles=64, n_steps=10, chi="local_tilt", weight_scheme="ito",
+                      resampling={"kind": "never"}, seed=1), path, rt)
+    single = trace_from_run(r, paper_literal).d_hat
+    assert single[0] == pytest.approx(-8.309 if paper_literal else 0.00830, abs=1e-3)
+    for copies in (2, 3):
+        multi = trace_from_runs([r] * copies, paper_literal).d_hat
+        assert np.allclose(multi, single, rtol=0, atol=1e-12)
+
+
 def test_trace_validation():
     with pytest.raises(ValueError):
         DiscrepancyTrace(np.zeros(3), np.linspace(0, 1, 3))
@@ -223,12 +236,17 @@ def test_streamed_moments_match_the_array_formula(monkeypatch, paper_literal):
                        rtol=0, atol=1e-12)
     multi = []
     for k in range(runs[0].log_moments.shape[0]):
-        per_run = []
+        per_run, z, log_w0 = [], [], []
         for res, (lw, lg) in zip(runs, arrays):
             log_z = 0.0 if k == 0 else res.log_z_history[k - 1]
             per_run.append(log_z + np.array(moments(lw[k], lg[k])) - logsumexp(lw[k]))
+            z.append(np.exp(log_z))
+            log_w0.append(logsumexp(lw[k]))
         g = logsumexp(np.array(per_run), axis=0)
-        multi.append(g[2] - 2.0 * g[1] + sign * g[0])
+        # The literal form subtracts 2 log sum_n w_n, averaged over the runs
+        # with weights Z_r, from the plain one.
+        literal = 2.0 * np.dot(z, log_w0) / np.sum(z) if paper_literal else 0.0
+        multi.append(g[2] - 2.0 * g[1] + g[0] - literal)
     assert np.allclose(trace_from_runs(runs, paper_literal).d_hat, multi,
                        rtol=0, atol=1e-12)
 

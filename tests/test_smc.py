@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import fmtt.smc
-from fmtt import (ConfigError, DegenerateEnsembleError, DriftMultiplier,
-                  FlowMapEvaluator, GaussianMixture, InterpolantSchedule,
-                  LinearReward, LogResponsibilityReward, MixturePath,
+from fmtt import (ConfigError, DegenerateEnsembleError, FlowMapEvaluator,
+                  GaussianMixture, InterpolantSchedule, LinearReward,
+                  LogResponsibilityReward, MixturePath,
                   ParticleEnsemble, RunConfig, RunResult, StepInput,
                   TimeDependentReward, ZeroReward, ess, position_step, resample,
                   run, standard_normal, top_n_select, weight_step_ito,
@@ -84,6 +84,12 @@ def test_weighted_expectation_needs_one_position_per_log_weight():
         weighted_expectation(np.zeros(3), lambda p: p[:, 0])
     with pytest.raises(ValueError, match="3 log-weights but 2 positions"):
         weighted_expectation(np.zeros(3), lambda p: p[:, 0], np.zeros((2, 1)))
+
+
+def test_weighted_expectation_refuses_positions_beside_an_ensemble():
+    ens = uniform_ensemble([[0.0], [2.0]])
+    with pytest.raises(ValueError, match="own positions"):
+        weighted_expectation(ens, lambda p: p[:, 0], np.full((3, 1), 5.0))
 
 
 def test_weighted_expectation_shift_invariant():
@@ -165,6 +171,17 @@ def test_log_z_is_zero_before_the_first_step_and_refuses_other_steps():
         for k in (-1, 6, 7):
             with pytest.raises(ValueError, match="K = 5"):
                 result.log_z(k)
+
+
+def test_searching_run_records_no_log_z():
+    path = std_path()
+    rt = TimeDependentReward(LinearReward([0.5]), "naive", path)
+    res = run(RunConfig(n_particles=16, n_steps=8, clones=2, mode="searching",
+                        weight_scheme="ito", resampling={"kind": "every", "r": 4}, seed=7),
+              path, rt)
+    assert res.resample_steps == [4]
+    assert np.isnan(res.log_z_history).all()
+    assert np.isnan(res.log_z(0)) and np.isnan(res.log_z())
 
 
 def test_reward_on_another_path_refused():
@@ -371,7 +388,6 @@ def test_flowmap_run_solve_budget():
 def _reference_ito_run(cfg, path, rt):
     """The run loop rebuilt from the public step functions, with every
     look-ahead record and the dynamics recomputed at the current states."""
-    chi = DriftMultiplier(cfg.chi)
     ts = cfg.times()
     n = cfg.n_particles
     x = path.base.sample(n, _step_rng(cfg.seed, 0, 0))
@@ -381,8 +397,8 @@ def _reference_ito_run(cfg, path, rt):
         t = ts[k - 1]
         inp = StepInput(x, lw, t, ts[k], noise, rt.lookahead_value_and_grad(t, x),
                         path.dynamics(t, x))
-        x_next = position_step(inp, chi, path)
-        lw = weight_step_ito(inp, chi, rt, path, rt.lookahead_value_and_grad(ts[k], x_next))
+        x_next = position_step(inp, cfg.chi, path)
+        lw = weight_step_ito(inp, cfg.chi, rt, path, rt.lookahead_value_and_grad(ts[k], x_next))
         x = x_next
         if (k < cfg.n_steps and cfg.resampling["kind"] == "ess"
                 and ess(lw) < cfg.resampling["threshold"] * n):
@@ -452,10 +468,10 @@ def test_record_without_grad_is_refused_not_recomputed(step):
     rt.lookaheads = 0
     with pytest.raises(ValueError, match="grad"):
         if step == "position":
-            position_step(inp, DriftMultiplier("local_tilt"), path)
+            position_step(inp, "local_tilt", path)
         elif step == "laplacian":
-            weight_step_laplacian(inp, DriftMultiplier("default"), rt, path)
+            weight_step_laplacian(inp, "default", rt, path)
         else:
-            chi = DriftMultiplier("tilted_score" if step == "ito-next" else "default")
+            chi = "tilted_score" if step == "ito-next" else "default"
             weight_step_ito(inp, chi, rt, path, look_next)
     assert rt.lookaheads == 0

@@ -3,8 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fmtt import (DriftMultiplier, FlowMapEvaluator, GaussianMixture,
-                  InterpolantSchedule, LinearReward, LogResponsibilityReward,
+from fmtt import (FlowMapEvaluator, GaussianMixture, InterpolantSchedule,
+                  LinearReward, LogResponsibilityReward,
                   MixturePath, QuadraticReward, SchemeCompatibilityError, StepInput,
                   TimeDependentReward, ZeroReward, position_step,
                   standard_normal, weight_step_expectation, weight_step_ito,
@@ -31,12 +31,12 @@ def step_input(x, logweight, t, t_next, noise, rt, path, grad=True):
 def test_chi_choices():
     sched = InterpolantSchedule.linear(eta_offset=0.05)
     t = 0.25
-    assert DriftMultiplier("default").value(sched, t) == 0.0
-    assert DriftMultiplier("tilted_score").value(sched, t) == pytest.approx(2.625)
-    assert DriftMultiplier("local_tilt").value(sched, t) == pytest.approx(0.75)
-    assert DriftMultiplier("base").value(sched, t) == pytest.approx(-0.75)
+    assert sched.chi("default", t) == 0.0
+    assert sched.chi("tilted_score", t) == pytest.approx(2.625)
+    assert sched.chi("local_tilt", t) == pytest.approx(0.75)
+    assert sched.chi("base", t) == pytest.approx(-0.75)
     with pytest.raises(ValueError):
-        DriftMultiplier("sideways")
+        sched.chi("sideways", t)
 
 
 def test_step_input_validation():
@@ -65,7 +65,7 @@ def test_position_step_drift_only_example():
     path = std_path(epsilon="zero")
     rt = TimeDependentReward(ZeroReward(), "naive", path)
     inp = step_input(np.array([[1.0]]), np.zeros(1), 0.0, 0.1, np.zeros((1, 1)), rt, path)
-    out = position_step(inp, DriftMultiplier("default"), path)
+    out = position_step(inp, "default", path)
     assert out[0, 0] == pytest.approx(0.9, abs=1e-14)
 
 
@@ -75,7 +75,7 @@ def test_zero_reward_chi_independent():
     rng = np.random.default_rng(1)
     inp = step_input(rng.normal(size=(8, 1)), np.zeros(8), 0.3, 0.31,
                      rng.normal(size=(8, 1)), rt, path)
-    outs = [position_step(inp, DriftMultiplier(c), path)
+    outs = [position_step(inp, c, path)
             for c in ("default", "tilted_score", "local_tilt", "base")]
     for o in outs[1:]:
         assert np.array_equal(outs[0], o)
@@ -87,10 +87,9 @@ def test_base_chi_matches_reward_free_bitwise():
     rt0 = TimeDependentReward(ZeroReward(), "naive", path)
     rng = np.random.default_rng(2)
     x, noise = rng.normal(size=(16, 1)), rng.normal(size=(16, 1))
-    a = position_step(step_input(x, np.zeros(16), 0.4, 0.41, noise, rt, path),
-                      DriftMultiplier("base"), path)
-    b = position_step(step_input(x, np.zeros(16), 0.4, 0.41, noise, rt0, path),
-                      DriftMultiplier("default"), path)
+    a = position_step(step_input(x, np.zeros(16), 0.4, 0.41, noise, rt, path), "base", path)
+    b = position_step(step_input(x, np.zeros(16), 0.4, 0.41, noise, rt0, path), "default",
+                      path)
     assert np.array_equal(a, b)
 
 
@@ -121,7 +120,7 @@ def test_laplacian_flowmap_example():
     rt = TimeDependentReward(LinearReward([1.0]), "flowmap_exact", path,
                              FlowMapEvaluator(path, rel_tol=1e-10, abs_tol=1e-12))
     inp = step_input(np.array([[2.0]]), np.zeros(1), 0.25, 0.26, np.zeros((1, 1)), rt, path)
-    out = weight_step_laplacian(inp, DriftMultiplier("default"), rt, path)
+    out = weight_step_laplacian(inp, "default", rt, path)
     lookahead = 2.0 * np.sqrt(1.0 / 0.625)
     assert out[0] == pytest.approx(0.01 * lookahead, abs=1e-8)
 
@@ -131,7 +130,7 @@ def test_laplacian_zero_reward_noop():
     rt = TimeDependentReward(ZeroReward(), "naive", path)
     inp = step_input(np.array([[1.0]]), np.array([0.7]), 0.3, 0.31, np.zeros((1, 1)), rt, path)
     for chi in ("default", "local_tilt"):
-        out = weight_step_laplacian(inp, DriftMultiplier(chi), rt, path,
+        out = weight_step_laplacian(inp, chi, rt, path,
                                     rng=np.random.default_rng(0))
         assert out[0] == pytest.approx(0.7, abs=1e-12)
 
@@ -143,7 +142,7 @@ def test_laplacian_bracket_matches_symbolic_quadratic():
     gamma, t, dt, xv = 0.8, 0.5, 0.01, 1.3
     rt = TimeDependentReward(QuadraticReward(gamma), "naive", path)
     inp = step_input(np.array([[xv]]), np.zeros(1), t, t + dt, np.zeros((1, 1)), rt, path)
-    out = weight_step_laplacian(inp, DriftMultiplier("local_tilt"), rt, path,
+    out = weight_step_laplacian(inp, "local_tilt", rt, path,
                                 m_probes=400, rng=np.random.default_rng(3))
     d = path.dynamics(t, np.array([[xv]]))
     grad = -gamma * t * xv
@@ -165,7 +164,7 @@ def test_laplacian_transport_term_is_b_dot_grad_plus_time_derivative(mode):
     dt = 0.01
     for t in (0.2, 0.5):
         inp = step_input(x, np.zeros(32), t, t + dt, np.zeros_like(x), rt, path)
-        incr = weight_step_laplacian(inp, DriftMultiplier("default"), rt, path) / dt
+        incr = weight_step_laplacian(inp, "default", rt, path) / dt
         b = path.dynamics(t, x).velocity
         expected = np.sum(b * rt.grad(t, x), axis=1) + rt.time_derivative(t, x)
         assert np.max(np.abs(incr - expected)) < 1e-5, (mode, t)
@@ -176,10 +175,10 @@ def test_ito_noise_free_reduces_to_drift():
     rt = TimeDependentReward(LinearReward([1.0]), "flowmap_exact", path,
                              FlowMapEvaluator(path, rel_tol=1e-10, abs_tol=1e-12))
     inp = step_input(np.array([[2.0]]), np.zeros(1), 0.25, 0.26, np.zeros((1, 1)), rt, path)
-    x_next = position_step(inp, DriftMultiplier("default"), path)
-    out = weight_step_ito(inp, DriftMultiplier("default"), rt, path,
+    x_next = position_step(inp, "default", path)
+    out = weight_step_ito(inp, "default", rt, path,
                           rt.lookahead_value_and_grad(0.26, x_next))
-    ref = weight_step_laplacian(inp, DriftMultiplier("default"), rt, path)
+    ref = weight_step_laplacian(inp, "default", rt, path)
     assert out[0] == pytest.approx(ref[0], abs=1e-12)
 
 
@@ -187,7 +186,7 @@ def test_ito_matches_hand_rolled_formula():
     path = std_path(eta_offset=0.05)
     lam, t, t2 = 0.5, 0.4, 0.41
     rt = TimeDependentReward(LinearReward([lam]), "naive", path)
-    chi = DriftMultiplier("tilted_score")
+    chi = "tilted_score"
     rng = np.random.default_rng(11)
     x = rng.normal(size=(4, 1))
     noise = rng.normal(size=(4, 1))
@@ -197,7 +196,7 @@ def test_ito_matches_hand_rolled_formula():
 
     dt = t2 - t
     sched = path.schedule
-    c_t, c_t2 = chi.value(sched, t), chi.value(sched, t2)
+    c_t, c_t2 = sched.chi(chi, t), sched.chi(chi, t2)
     d = path.dynamics(t, x)
     g_t = lam * t
     g_t2 = lam * t2
@@ -215,7 +214,7 @@ def test_ito_refuses_a_next_record_of_another_batch():
     x = np.linspace(-1.0, 1.0, 4).reshape(-1, 1)
     inp = step_input(x, np.zeros(4), 0.4, 0.41, np.ones((4, 1)), rt, path)
     with pytest.raises(ValueError, match="batch"):
-        weight_step_ito(inp, DriftMultiplier("tilted_score"), rt, path,
+        weight_step_ito(inp, "tilted_score", rt, path,
                         rt.lookahead_value_and_grad(0.41, x[:1]))
 
 
@@ -224,7 +223,7 @@ def test_ito_rejects_zero_diffusion_with_nonzero_chi():
     rt = TimeDependentReward(LinearReward([1.0]), "naive", path)
     inp = step_input(np.array([[1.0]]), np.zeros(1), 0.3, 0.31, np.ones((1, 1)), rt, path)
     with pytest.raises(SchemeCompatibilityError):
-        weight_step_ito(inp, DriftMultiplier("tilted_score"), rt, path,
+        weight_step_ito(inp, "tilted_score", rt, path,
                         rt.lookahead_value_and_grad(0.31, np.array([[1.0]])))
 
 
@@ -232,7 +231,7 @@ def test_ito_allows_zero_diffusion_when_chi_zero():
     path = std_path(epsilon="zero")
     rt = TimeDependentReward(LinearReward([1.0]), "naive", path)
     inp = step_input(np.array([[1.0]]), np.zeros(1), 0.3, 0.31, np.ones((1, 1)), rt, path)
-    out = weight_step_ito(inp, DriftMultiplier("default"), rt, path,
+    out = weight_step_ito(inp, "default", rt, path,
                           rt.lookahead_value_and_grad(0.31, np.array([[1.0]])))
     assert np.isfinite(out[0])
 
@@ -243,7 +242,7 @@ def test_expectation_zero_reward_noop():
     inp = step_input(np.array([[0.5]]), np.array([1.2]), 0.3, 0.31, np.zeros((1, 1)), rt, path,
                      grad=False)
     for chi in ("default", "local_tilt", "base"):
-        out = weight_step_expectation(inp, DriftMultiplier(chi), rt, path, 8,
+        out = weight_step_expectation(inp, chi, rt, path, 8,
                                       np.random.default_rng(0))
         assert out[0] == pytest.approx(1.2, abs=1e-12)
 
@@ -254,7 +253,7 @@ def test_expectation_chi_zero_example():
                              FlowMapEvaluator(path, rel_tol=1e-10, abs_tol=1e-12))
     inp = step_input(np.array([[0.0]]), np.zeros(1), 0.0, 0.01, np.zeros((1, 1)), rt, path,
                      grad=False)
-    out = weight_step_expectation(inp, DriftMultiplier("default"), rt, path)
+    out = weight_step_expectation(inp, "default", rt, path)
     assert out[0] == pytest.approx(0.005, abs=2e-5)
 
 
@@ -263,7 +262,7 @@ def test_expectation_paper_literal_adds_raw_average():
     rt = TimeDependentReward(LinearReward([0.5]), "naive", path)
     inp = step_input(np.array([[0.4]]), np.zeros(1), 0.3, 0.31, np.zeros((1, 1)), rt, path,
                      grad=False)
-    chi = DriftMultiplier("local_tilt")
+    chi = "local_tilt"
     log_form = weight_step_expectation(inp, chi, rt, path, 64, np.random.default_rng(5))
     literal = weight_step_expectation(inp, chi, rt, path, 64, np.random.default_rng(5),
                                       paper_literal=True)
@@ -279,8 +278,8 @@ def test_expectation_consistent_with_laplacian_at_chi_zero():
     gaps = []
     for dt in (0.02, 0.01):
         args = np.array([[1.2]]), np.zeros(1), 0.4, 0.4 + dt, np.zeros((1, 1)), rt, path
-        lap = weight_step_laplacian(step_input(*args), DriftMultiplier("default"), rt, path)
-        exp = weight_step_expectation(step_input(*args, grad=False), DriftMultiplier("default"),
+        lap = weight_step_laplacian(step_input(*args), "default", rt, path)
+        exp = weight_step_expectation(step_input(*args, grad=False), "default",
                                       rt, path)
         gaps.append(abs(lap[0] - exp[0]))
     assert gaps[1] < 0.4 * gaps[0]
@@ -311,7 +310,7 @@ def test_local_tilt_mean_shift():
         x = np.zeros((2000, 1))
         noise = rng.normal(size=(2000, 1))
         inp = step_input(x, np.zeros(2000), 0.5, 0.5 + dt, noise, rt, path)
-        tilted = position_step(inp, DriftMultiplier("local_tilt"), path)
-        plain = position_step(inp, DriftMultiplier("default"), path)
+        tilted = position_step(inp, "local_tilt", path)
+        plain = position_step(inp, "default", path)
         shift = float(np.mean(tilted - plain))
         assert shift == pytest.approx(dt * 0.5 * 0.5, abs=1e-12)
