@@ -20,6 +20,12 @@ Both compute the same outputs:
   weights x chi in {default, local_tilt, base, tilted_score} (simplified:
   default only), each with its final positions and log-weights, log Z
   history and log-moments;
+- runs whose Hutchinson probes or expectation samples span several
+  stacked look-ahead calls (chunks of 4, 4 and 2 at the bound of 8,192
+  elements, `fmtt.rewards.STACK_ELEMENTS`) on the same target, chi
+  local_tilt, seed 7: naive and denoiser laplacian runs (n = 512, K = 8,
+  10 probes) and a denoiser expectation run (n = 1024, K = 8, 10 samples),
+  each with its final positions and log-weights and log Z history;
 - one searching run per look-ahead mode on the same target (n = 16, 2
   clones, K = 8, top-n selection every 2 steps, tilted_score chi, ito
   weights, seed 7), with its final positions and log-weights: the record
@@ -66,6 +72,10 @@ CLI_RUNS = {"sample": ("sample", []), "refine": ("refine", []),
 GRID_MODES = ("naive", "denoiser", "flowmap_ksteps", "flowmap_exact")
 GRID_SCHEMES = ("simplified", "laplacian", "ito", "expectation")
 GRID_CHIS = ("default", "local_tilt", "base", "tilted_score")
+# (look-ahead mode, weight scheme, particles, probes or samples) of the runs
+# whose samples span several stacked look-ahead calls.
+CHUNK_RUNS = (("naive", "laplacian", 512, 10), ("denoiser", "laplacian", 512, 10),
+              ("denoiser", "expectation", 1024, 10))
 INFORMATIONAL = "config_resolved.yaml"
 NAMES = "public_names"
 
@@ -79,7 +89,12 @@ def public_names(package) -> list[str]:
             continue
         names.append(f"fmtt.{name}")
         if inspect.isclass(obj):
-            names += [f"fmtt.{name}.{a}" for a in dir(obj) if not a.startswith("_")]
+            # A field with a default_factory is no class attribute, so dir()
+            # misses it.
+            attrs = set(dir(obj))
+            if dataclasses.is_dataclass(obj):
+                attrs |= {f.name for f in dataclasses.fields(obj)}
+            names += [f"fmtt.{name}.{a}" for a in attrs if not a.startswith("_")]
     return sorted(names)
 
 
@@ -144,6 +159,18 @@ def dump(out: str) -> None:
         res = fmtt.run(cfg, path, rt)
         arrays[f"search/{mode}/positions"] = res.ensemble.positions
         arrays[f"search/{mode}/logweights"] = res.ensemble.logweights
+
+    for mode, scheme, n, m in CHUNK_RUNS:
+        rt = fmtt.TimeDependentReward(reward, mode, path)
+        samples = (hutchinson_probes(fmtt, m) if scheme == "laplacian"
+                   else {"expectation_samples": m})
+        cfg = fmtt.RunConfig(n_particles=n, n_steps=8, chi="local_tilt", weight_scheme=scheme,
+                             seed=7, **samples)
+        res = fmtt.run(cfg, path, rt)
+        key = f"chunks/{mode}/{scheme}"
+        arrays[f"{key}/positions"] = res.ensemble.positions
+        arrays[f"{key}/logweights"] = res.ensemble.logweights
+        arrays[f"{key}/log_z_history"] = res.log_z_history
 
     with tempfile.TemporaryDirectory() as work:
         for name, chi, scheme in (("exact-small", "default", "simplified"),

@@ -221,17 +221,54 @@ class TimeDependentReward:
 
 PROBES = ("gaussian", "rademacher")
 
+# Bound on the elements (rows x d) of one stacked look-ahead call in
+# `_stacked_samples`, chosen by a sweep (CHANGES.md): a d=1 laplacian run
+# gains little from larger calls, and at d=8 with 16 pairs a call of 2,048
+# rows takes longer than two of 1,024.
+STACK_ELEMENTS = 8_192
+
+
+def _check_count(value, name: str) -> None:
+    """Raise ValueError unless value is an integer >= 1; a numpy integer
+    passes, a bool never does."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
 
 def _check_hutchinson(m_probes: int, eps: float, probe: str, where: str = "") -> None:
     """Raise ValueError unless these are valid `hutchinson_laplacian` settings;
     a message names the setting by its key in a config's hutchinson block,
     after the prefix ``where``."""
-    if m_probes < 1:
-        raise ValueError(f"{where}probes (m_probes) must be >= 1, got {m_probes}")
+    _check_count(m_probes, f"{where}probes (m_probes)")
     if not eps > 0:
         raise ValueError(f"{where}eps must be > 0, got {eps}")
     if probe not in PROBES:
         raise ValueError(f"{where}probe must be one of {PROBES}, got {probe!r}")
+
+
+def _stacked_samples(look: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
+                     scales: tuple[float, ...], m: int,
+                     draw: Callable[[tuple[int, int, int]], np.ndarray]):
+    """Evaluate ``look`` at the points x + s * z, for each s in ``scales`` and
+    m samples z, in one call per chunk of samples.
+
+    Yields, per chunk of k samples, the samples z, drawn as one (k, n, d)
+    array by ``draw``, and look's output on the k * len(scales) * n stacked
+    rows, as a (k, len(scales), n, ...) array.  A chunk holds as many samples
+    as fit in STACK_ELEMENTS elements, and at least one.  Draws of (k, n, d)
+    give the stream of k draws of (n, d), so the samples are those of one
+    draw per sample.
+    """
+    n, d = x.shape
+    s = np.asarray(scales, dtype=float)[:, None, None]
+    per_chunk = max(1, STACK_ELEMENTS // (len(scales) * n * d))
+    for start in range(0, m, per_chunk):
+        z = draw((min(per_chunk, m - start), n, d))
+        points = x + s * z[:, None]
+        out = look(points.reshape(-1, d))
+        yield z, out.reshape(points.shape[:-1] + out.shape[1:])
 
 
 def hutchinson_laplacian(rt: TimeDependentReward, t: float, x: np.ndarray,
@@ -241,19 +278,20 @@ def hutchinson_laplacian(rt: TimeDependentReward, t: float, x: np.ndarray,
     """Stochastic trace estimate of the Laplacian of r_t.
 
     Averages z . [grad r_t(x + eps z) - grad r_t(x - eps z)] / (2 eps) over
-    random probes z (Gaussian or Rademacher).
+    random probes z (Gaussian or Rademacher), with one gradient call per
+    chunk of probes (`_stacked_samples`).
     """
     _check_hutchinson(m_probes, eps, probe)
     rng = rng or np.random.default_rng()
     x2 = np.atleast_2d(np.asarray(x, dtype=float))
-    n, d = x2.shape
-    total = np.zeros(n)
-    for _ in range(m_probes):
-        if probe == "gaussian":
-            z = rng.standard_normal((n, d))
-        else:
-            z = rng.integers(0, 2, size=(n, d)) * 2.0 - 1.0
-        gp = rt.grad(t, x2 + eps * z)
-        gm = rt.grad(t, x2 - eps * z)
-        total += np.einsum("ni,ni->n", z, gp - gm)
-    return total / (2.0 * m_probes * eps)
+    if probe == "gaussian":
+        draw = rng.standard_normal
+    else:
+        def draw(shape):
+            return rng.integers(0, 2, size=shape) * 2.0 - 1.0
+    terms = np.concatenate([
+        np.einsum("kni,kni->kn", z, g[:, 0] - g[:, 1])
+        for z, g in _stacked_samples(lambda y: rt.grad(t, y), x2, (eps, -eps), m_probes, draw)])
+    # cumsum adds the probes one after another, as a loop over them does;
+    # sum() may add them pairwise.
+    return np.cumsum(terms, axis=0)[-1] / (2.0 * m_probes * eps)

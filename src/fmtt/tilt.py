@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import SchemeCompatibilityError
 from .mixtures import DynamicsAt, MixturePath, _logsumexp
-from .rewards import Lookahead, TimeDependentReward, hutchinson_laplacian
+from .rewards import (Lookahead, TimeDependentReward, _check_count, _stacked_samples,
+                      hutchinson_laplacian)
 
 WEIGHT_SCHEMES = ("simplified", "laplacian", "ito", "expectation")
 
@@ -179,8 +180,7 @@ def weight_step_expectation(inp: StepInput, chi: str, rt: TimeDependentReward,
     ``paper_literal`` uses g itself (no log) as the additive increment,
     reproducing a multiplicative-form variant of the update.
     """
-    if m_samples < 1:
-        raise ValueError("m_samples must be >= 1")
+    _check_count(m_samples, "m_samples")
     c = path.schedule.chi(chi, inp.t)
     dyn, r_here = inp.dynamics, inp.lookahead.value
     if c <= 0.0:
@@ -190,10 +190,10 @@ def weight_step_expectation(inp: StepInput, chi: str, rt: TimeDependentReward,
     rng = rng or np.random.default_rng()
     mean_drifted = inp.x + inp.dt * (dyn.velocity + abs(c) * dyn.score)
     scale = np.sqrt(2.0 * abs(c) * inp.dt)
-    deltas = np.empty((m_samples, inp.x.shape[0]))
-    for m in range(m_samples):
-        y = mean_drifted + scale * rng.standard_normal(inp.x.shape)
-        deltas[m] = rt.value(inp.t_next, y) - r_here
+    values = [v[:, 0] for _, v in _stacked_samples(lambda y: rt.value(inp.t_next, y),
+                                                   mean_drifted, (scale,), m_samples,
+                                                   rng.standard_normal)]
+    deltas = np.concatenate(values) - r_here
     log_g = _logsumexp(deltas) - np.log(m_samples)
     tail = np.exp(log_g) if paper_literal else log_g
     if c > 0.0:

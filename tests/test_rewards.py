@@ -5,7 +5,8 @@ from fmtt import (CustomReward, FlowMapEvaluator, GaussianMixture, LinearReward,
                   LogResponsibilityReward, MixturePath, QuadraticReward,
                   TimeDependentReward, ZeroReward, finite_diff_grad,
                   hutchinson_laplacian, standard_normal)
-from fmtt.rewards import MODES
+from fmtt import rewards
+from fmtt.rewards import MODES, STACK_ELEMENTS
 
 
 def std_path():
@@ -220,3 +221,104 @@ def test_hutchinson_validates_inputs():
         hutchinson_laplacian(rt, 0.5, np.zeros((1, 1)), 0)
     with pytest.raises(ValueError):
         hutchinson_laplacian(rt, 0.5, np.zeros((1, 1)), 4, eps=0.0)
+
+
+@pytest.mark.parametrize("m_probes", [4.0, True])
+def test_hutchinson_refuses_a_non_integer_probe_count(m_probes):
+    rt = TimeDependentReward(ZeroReward(), "naive", std_path())
+    with pytest.raises(ValueError, match="m_probes"):
+        hutchinson_laplacian(rt, 0.5, np.zeros((1, 1)), m_probes)
+
+
+def test_hutchinson_takes_a_numpy_integer_probe_count():
+    rt = TimeDependentReward(QuadraticReward(1.0), "naive", std_path())
+    x = np.array([[0.3], [-1.2]])
+    est = [hutchinson_laplacian(rt, 0.5, x, m, 1e-3, np.random.default_rng(2))
+           for m in (5, np.int64(5))]
+    assert np.array_equal(*est)
+
+
+def reference_laplacian(rt, t, x, m, eps, rng, probe):
+    """The Hutchinson estimate with one probe per pair of gradient calls."""
+    n, d = x.shape
+    total = np.zeros(n)
+    for _ in range(m):
+        if probe == "gaussian":
+            z = rng.standard_normal((n, d))
+        else:
+            z = rng.integers(0, 2, size=(n, d)) * 2.0 - 1.0
+        total += np.einsum("ni,ni->n", z, rt.grad(t, x + eps * z) - rt.grad(t, x - eps * z))
+    return total / (2.0 * m * eps)
+
+
+def lookahead_in(mode, d):
+    target = GaussianMixture.isotropic([0.5, 0.5], [[-2.0, 0.5][:d], [1.5, -1.0][:d]], 0.4)
+    path = MixturePath(standard_normal(d), target)
+    return TimeDependentReward(LogResponsibilityReward(target, 1, 0.5), mode, path)
+
+
+@pytest.mark.parametrize("probe", ["gaussian", "rademacher"])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("mode", ["naive", "denoiser", "flowmap_ksteps"])
+def test_stacked_probes_match_one_probe_per_call(mode, d, probe):
+    rt = lookahead_in(mode, d)
+    # Chunks of 5 probes, with 12 probes in 3 chunks; then chunks of 1 probe.
+    for n, m in ((STACK_ELEMENTS // (2 * d * 5), 12), (STACK_ELEMENTS // (2 * d) + 1, 3)):
+        x = np.random.default_rng(n).normal(scale=1.5, size=(n, d))
+        est = hutchinson_laplacian(rt, 0.6, x, m, 1e-3, np.random.default_rng(4), probe)
+        ref = reference_laplacian(rt, 0.6, x, m, 1e-3, np.random.default_rng(4), probe)
+        if d == 1 and mode != "naive":
+            # The path kernel's d = 1 Jacobian sums its pairs in a BLAS
+            # matrix-vector product, which rounds some rows differently in
+            # batches of other sizes; every other look-ahead here is
+            # row-invariant, so stacking its probes changes no bit.
+            assert np.max(np.abs(est - ref)) <= 1e-12 * np.max(np.abs(ref))
+        else:
+            assert np.array_equal(est, ref)
+
+
+def test_stacked_probes_of_one_state_add_up_in_turn():
+    # Over a (m, 1) array of probe terms numpy's sum adds pairwise, so the
+    # estimate would differ from the loop's running total.
+    rt = lookahead_in("naive", 2)
+    x = np.array([[0.4, -0.3]])
+    est = hutchinson_laplacian(rt, 0.6, x, 100, 1e-3, np.random.default_rng(3))
+    assert np.array_equal(est, reference_laplacian(rt, 0.6, x, 100, 1e-3,
+                                                   np.random.default_rng(3), "gaussian"))
+
+
+def test_stacked_probes_match_one_probe_per_call_with_the_exact_map(monkeypatch):
+    # The RK45 solve adapts its steps to the whole batch, so the estimate
+    # moves at the solver's tolerance.
+    rt = lookahead_in("flowmap_exact", 2)
+    x = np.random.default_rng(5).normal(scale=1.5, size=(6, 2))
+    monkeypatch.setattr(rewards, "STACK_ELEMENTS", 2 * 6 * 2 * 3)
+    for probe in ("gaussian", "rademacher"):
+        est = hutchinson_laplacian(rt, 0.6, x, 7, 1e-3, np.random.default_rng(6), probe)
+        ref = reference_laplacian(rt, 0.6, x, 7, 1e-3, np.random.default_rng(6), probe)
+        assert np.max(np.abs(est - ref)) <= 1e-5 * np.max(np.abs(ref))
+
+
+class CountingLookahead(TimeDependentReward):
+    """A look-ahead that records the shape of every gradient call."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.shapes = []
+
+    def grad(self, t, x):
+        self.shapes.append(np.shape(x))
+        return super().grad(t, x)
+
+
+@pytest.mark.parametrize("n, d, m", [(3, 2, 64), (256, 1, 64), (1000, 2, 5),
+                                     (STACK_ELEMENTS, 1, 3), (100, 3, 1)])
+def test_probe_calls_stay_within_the_element_bound(n, d, m):
+    rt = CountingLookahead(QuadraticReward(1.0), "naive",
+                           MixturePath(standard_normal(d), standard_normal(d)))
+    x = np.random.default_rng(0).normal(size=(n, d))
+    hutchinson_laplacian(rt, 0.5, x, m, 1e-3, np.random.default_rng(1))
+    per_call = max(1, STACK_ELEMENTS // (2 * n * d))
+    assert len(rt.shapes) == -(-m // per_call)
+    assert sum(rows for rows, _ in rt.shapes) == 2 * n * m
+    assert all(rows * d <= max(STACK_ELEMENTS, 2 * n * d) for rows, _ in rt.shapes)

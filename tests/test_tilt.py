@@ -3,12 +3,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fmtt import rewards
 from fmtt import (FlowMapEvaluator, GaussianMixture, InterpolantSchedule,
                   LinearReward, LogResponsibilityReward,
                   MixturePath, QuadraticReward, SchemeCompatibilityError, StepInput,
                   TimeDependentReward, ZeroReward, position_step,
                   standard_normal, weight_step_expectation, weight_step_ito,
                   weight_step_laplacian, weight_step_simplified)
+from fmtt.mixtures import _logsumexp
+from fmtt.rewards import STACK_ELEMENTS
 
 
 def std_path(epsilon="one_minus_t", eta_offset=0.0):
@@ -314,3 +317,92 @@ def test_local_tilt_mean_shift():
         plain = position_step(inp, "default", path)
         shift = float(np.mean(tilted - plain))
         assert shift == pytest.approx(dt * 0.5 * 0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("m_samples", [4.0, True])
+def test_expectation_refuses_a_non_integer_sample_count(m_samples):
+    path = std_path()
+    rt = TimeDependentReward(LinearReward([0.5]), "naive", path)
+    inp = step_input(np.array([[0.4]]), np.zeros(1), 0.3, 0.31, np.zeros((1, 1)), rt, path,
+                     grad=False)
+    with pytest.raises(ValueError, match="m_samples"):
+        weight_step_expectation(inp, "local_tilt", rt, path, m_samples)
+
+
+def test_expectation_takes_a_numpy_integer_sample_count():
+    path = std_path(eta_offset=0.05)
+    rt = TimeDependentReward(LinearReward([0.5]), "naive", path)
+    inp = step_input(np.array([[0.4], [-1.0]]), np.zeros(2), 0.3, 0.31, np.zeros((2, 1)), rt,
+                     path, grad=False)
+    out = [weight_step_expectation(inp, "local_tilt", rt, path, m, np.random.default_rng(5))
+           for m in (6, np.int64(6))]
+    assert np.array_equal(*out)
+
+
+def reference_expectation(inp, chi, rt, path, m, rng):
+    """The expectation weights with one look-ahead call per sample."""
+    c = path.schedule.chi(chi, inp.t)
+    dyn, r_here = inp.dynamics, inp.lookahead.value
+    mean = inp.x + inp.dt * (dyn.velocity + abs(c) * dyn.score)
+    scale = np.sqrt(2.0 * abs(c) * inp.dt)
+    deltas = np.stack([rt.value(inp.t_next, mean + scale * rng.standard_normal(inp.x.shape))
+                       - r_here for _ in range(m)])
+    log_g = _logsumexp(deltas) - np.log(m)
+    if c > 0.0:
+        return inp.logweight + log_g
+    drift_only = rt.value(inp.t_next, inp.x + inp.dt * dyn.velocity) - r_here
+    return inp.logweight + 2.0 * drift_only - log_g
+
+
+def two_mode_lookahead(mode):
+    target = GaussianMixture.isotropic([0.5, 0.5], [[-2.0, 0.0], [2.0, 0.0]], 0.25)
+    path = MixturePath(standard_normal(2), target, InterpolantSchedule.linear(eta_offset=0.05))
+    return TimeDependentReward(LogResponsibilityReward(target, 1, 0.5), mode, path), path
+
+
+@pytest.mark.parametrize("mode", ["naive", "denoiser", "flowmap_ksteps"])
+def test_stacked_samples_match_one_sample_per_call(mode):
+    rt, path = two_mode_lookahead(mode)
+    # Chunks of 4 samples, with 11 samples in 3 chunks; then chunks of 1 sample.
+    for n, m in ((STACK_ELEMENTS // (2 * 4), 11), (STACK_ELEMENTS // 2 + 1, 3)):
+        x = np.random.default_rng(n).normal(scale=2.0, size=(n, 2))
+        inp = step_input(x, np.zeros(n), 0.4, 0.42, np.zeros((n, 2)), rt, path, grad=False)
+        for chi in ("local_tilt", "base"):
+            out = weight_step_expectation(inp, chi, rt, path, m, np.random.default_rng(7))
+            ref = reference_expectation(inp, chi, rt, path, m, np.random.default_rng(7))
+            assert np.array_equal(out, ref)
+
+
+def test_stacked_samples_match_one_sample_per_call_with_the_exact_map(monkeypatch):
+    rt, path = two_mode_lookahead("flowmap_exact")
+    x = np.random.default_rng(8).normal(scale=2.0, size=(6, 2))
+    inp = step_input(x, np.zeros(6), 0.4, 0.42, np.zeros((6, 2)), rt, path, grad=False)
+    monkeypatch.setattr(rewards, "STACK_ELEMENTS", 6 * 2 * 3)
+    out = weight_step_expectation(inp, "local_tilt", rt, path, 7, np.random.default_rng(9))
+    ref = reference_expectation(inp, "local_tilt", rt, path, 7, np.random.default_rng(9))
+    assert np.max(np.abs(out - ref)) <= 1e-5 * np.max(np.abs(ref))
+
+
+class CountingLookahead(TimeDependentReward):
+    """A look-ahead that records the shape of every value call."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.shapes = []
+
+    def value(self, t, x):
+        self.shapes.append(np.shape(x))
+        return super().value(t, x)
+
+
+@pytest.mark.parametrize("n, m", [(3, 16), (256, 64), (5000, 7), (STACK_ELEMENTS, 3)])
+def test_sample_calls_stay_within_the_element_bound(n, m):
+    path = std_path(eta_offset=0.05)
+    rt = CountingLookahead(LinearReward([0.5]), "naive", path)
+    x = np.random.default_rng(0).normal(size=(n, 1))
+    inp = step_input(x, np.zeros(n), 0.3, 0.31, np.zeros((n, 1)), rt, path, grad=False)
+    weight_step_expectation(inp, "local_tilt", rt, path, m, np.random.default_rng(1))
+    per_call = max(1, STACK_ELEMENTS // n)
+    assert len(rt.shapes) == -(-m // per_call)
+    assert sum(rows for rows, _ in rt.shapes) == n * m
+    assert all(rows <= max(STACK_ELEMENTS, n) for rows, _ in rt.shapes)
