@@ -8,6 +8,13 @@ Usage, from the repository root:
 Each tree's `fmtt` is imported in its own interpreter with one BLAS thread.
 Both compute the same outputs:
 
+- the mixture kernel itself, on a 1-D and a 2-D two-mode path and on the
+  naive-wide benchmark's d = 8 path with 16 pairs, at t = 0, 0.37 and 1,
+  for 64 rows (512 at d = 8) and for their first row alone: every
+  `MixturePath.dynamics` field, both Jacobians, `conditional_means`, the
+  target's `log_density` and a `LogResponsibilityReward`'s
+  `value_and_grad`, so a move in a run's last bits can be traced to its
+  source;
 - `flow_map`, `flow_map_jacobian`, `k_step_map` and `k_step_map_jacobian`
   (Euler and Heun, k = 1 and 4) on a 2-D two-mode path, for (d,) and (n, d)
   inputs, s < t, s > t and s == t;
@@ -42,9 +49,12 @@ imported `fmtt` takes them: one `hutchinson` mapping, or the older flat
 `hutchinson_probes`.
 
 Every output is reported as bitwise equal, or with its largest absolute
-difference (arrays) or as differing (files).  The exit code is 1 when an
-output differs, except `config_resolved.yaml`, which is only reported: its
-layout may change while the run it describes does not.
+difference and that difference relative to the output's largest magnitude
+(arrays), or as differing (files), with the largest absolute and relative
+differences of their numbers when the files differ in numbers only.  The
+exit code is 1 when an output differs, except `config_resolved.yaml`, which
+is only reported: its layout may change while the run it describes does
+not.
 
 The public names that one tree has and the other lacks are listed too:
 `fmtt`'s exports and the public attributes of the classes it exports.
@@ -56,6 +66,7 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -69,6 +80,7 @@ SEEDS = (7, 11)
 CLI_RUNS = {"sample": ("sample", []), "refine": ("refine", []),
             "diagnose": ("diagnose", []), "search": ("search", []),
             "diagnose-paper-literal": ("diagnose", ["--paper-literal"])}
+KERNEL_TIMES = (0.0, 0.37, 1.0)
 GRID_MODES = ("naive", "denoiser", "flowmap_ksteps", "flowmap_exact")
 GRID_SCHEMES = ("simplified", "laplacian", "ito", "expectation")
 GRID_CHIS = ("default", "local_tilt", "base", "tilted_score")
@@ -106,6 +118,25 @@ def hutchinson_probes(fmtt, probes: int) -> dict:
     return {"hutchinson_probes": probes}
 
 
+def kernel_outputs(fmtt, name: str, path, reward, x: np.ndarray) -> dict:
+    """Every output of the mixture kernel on one path at KERNEL_TIMES, for
+    the rows x and for their first row alone."""
+    arrays = {}
+    for rows, xr in (("rows", x), ("row0", x[:1])):
+        for t in KERNEL_TIMES:
+            key = f"kernel/{name}/{rows}/t={t}"
+            dyn = path.dynamics(t, xr)
+            for field in ("velocity", "score", "denoiser", "log_density"):
+                arrays[f"{key}/{field}"] = getattr(dyn, field)
+            for jacobian in ("velocity", "denoiser"):
+                arrays[f"{key}/{jacobian}_jacobian"] = path.dynamics(t, xr, jacobian).jacobian
+            arrays[f"{key}/e0"], arrays[f"{key}/e1"] = path.conditional_means(t, xr)
+        key = f"kernel/{name}/{rows}"
+        arrays[f"{key}/target_log_density"] = path.target.log_density(xr)
+        arrays[f"{key}/reward_value"], arrays[f"{key}/reward_grad"] = reward.value_and_grad(xr)
+    return arrays
+
+
 def dump(out: str) -> None:
     """Compute every compared output with the `fmtt` on sys.path; save to out."""
     import fmtt
@@ -134,10 +165,18 @@ def dump(out: str) -> None:
                     arrays[f"k_step_map_jacobian/{kkey}/endpoint"] = res.endpoint
                     arrays[f"k_step_map_jacobian/{kkey}/jacobian"] = res.jacobian
 
+    target = fmtt.GaussianMixture.isotropic([0.3, 0.7], [[-2.0], [1.5]], 0.4)
+    arrays.update(kernel_outputs(
+        fmtt, "1d", fmtt.MixturePath(fmtt.standard_normal(1), target),
+        fmtt.LogResponsibilityReward(target, component=1, scale=0.5),
+        np.random.default_rng(4).normal(scale=1.5, size=(64, 1))))
+
     target = fmtt.GaussianMixture.isotropic([0.5, 0.5], [[-2.0, 0.0], [2.0, 0.0]], 0.25)
     path = fmtt.MixturePath(fmtt.standard_normal(2), target,
                             fmtt.InterpolantSchedule.linear(eta_offset=0.05))
     reward = fmtt.LogResponsibilityReward(target, component=1, scale=0.1)
+    arrays.update(kernel_outputs(fmtt, "2d", path, reward,
+                                 np.random.default_rng(5).normal(scale=1.5, size=(64, 2))))
     for mode in GRID_MODES:
         rt = fmtt.TimeDependentReward(reward, mode, path)
         for scheme in GRID_SCHEMES:
@@ -173,6 +212,9 @@ def dump(out: str) -> None:
         arrays[f"{key}/log_z_history"] = res.log_z_history
 
     with tempfile.TemporaryDirectory() as work:
+        ctx = workloads.setup("naive-wide", "full", Path(work))
+        arrays.update(kernel_outputs(fmtt, "8d", ctx.path, ctx.rt.base,
+                                     np.random.default_rng(6).normal(size=(512, 8))))
         for name, chi, scheme in (("exact-small", "default", "simplified"),
                                   ("naive-wide", "tilted_score", "ito")):
             ctx = workloads.setup(name, "full", Path(work))
@@ -206,6 +248,25 @@ def dump(out: str) -> None:
     np.savez(out, **arrays)
 
 
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def file_number_difference(a: np.ndarray, b: np.ndarray) -> str:
+    """The largest difference between the numbers of two text files that
+    differ only in them, as a suffix for the report; empty otherwise."""
+    texts = [bytes(blob).decode(errors="replace") for blob in (a, b)]
+    if NUMBER.sub("#", texts[0]) != NUMBER.sub("#", texts[1]):
+        return ""
+    x, y = (np.array(NUMBER.findall(text), dtype=float) for text in texts)
+    moved = x != y
+    if not moved.any():
+        return " in the spelling of equal numbers only"
+    largest = np.max(np.abs(x - y))
+    with np.errstate(divide="ignore"):
+        relative = np.max(np.abs(x - y)[moved] / np.abs(y[moved]))
+    return f" in their numbers only: max |diff| {largest:.3g} (relative {relative:.3g})"
+
+
 def compute(tree: Path, out: Path) -> dict:
     env = {k: v for k, v in os.environ.items() if k != "FMTT_THREADS"}
     env.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1",
@@ -234,9 +295,12 @@ def main(other: str) -> int:
             print(f"bitwise equal  {key}")
             continue
         if key.startswith("cli/"):
-            diff = "the files differ"
+            diff = "the files differ" + file_number_difference(a, b)
         elif a.shape == b.shape:
-            diff = f"max |diff| {np.max(np.abs(a - b))}"
+            largest = np.max(np.abs(a - b))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                relative = largest / np.max(np.abs(b))
+            diff = f"max |diff| {largest:.3g} (relative {relative:.3g})"
         else:
             diff = f"shape {a.shape} vs {b.shape}"
         exact = not key.endswith(INFORMATIONAL)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import RK45
-from scipy.linalg import cholesky, solve_triangular
 
 from .errors import ToleranceError
 from .mixtures import MixturePath
@@ -140,8 +139,8 @@ def gaussian_pair_closed_form(path: MixturePath, s: float, t: float,
     C, S = path.base.covariances[0], path.target.covariances[0]
     mu_s = a_s * m + b_s * n
     mu_t = a_t * m + b_t * n
-    L_s = cholesky(a_s**2 * C + b_s**2 * S, lower=True)
-    L_t = cholesky(a_t**2 * C + b_t**2 * S, lower=True)
-    dev = solve_triangular(L_s, (x2 - mu_s).T, lower=True)
+    L_s = np.linalg.cholesky(a_s**2 * C + b_s**2 * S)
+    L_t = np.linalg.cholesky(a_t**2 * C + b_t**2 * S)
+    dev = np.linalg.solve(L_s, (x2 - mu_s).T)
     out = mu_t + (L_t @ dev).T
     return out[0] if squeeze else out

@@ -3,11 +3,27 @@
 With independent coupling of a base mixture (components m_i, C_i, weights
 w_i) and a target mixture (n_j, S_j, u_j), the interpolated density at time
 t is itself a mixture over all P pairs (i,j), with weight w_i*u_j, mean
-alpha*m_i + beta*n_j and covariance alpha^2*C_i + beta^2*S_j.  One batched
-kernel serves both classes: the pair covariances depend on t only, so one
-batched Cholesky factors all of them, and one pass over the rows gives
-log-responsibilities and the solves Sigma^{-1}(x - mu), from which velocity,
-score, denoiser, log-density and their Jacobians all follow.
+a*m_i + b*n_j and covariance a^2*C_i + b^2*S_j, where (a, b) = (1-t, t).
+
+One rows-first kernel, `_kernel`, serves both classes.  It whitens the rows
+x (n, d) against all k components with one matrix product,
+H = (x - xbar) @ [F_1; ...; F_k]^T - [F_j (mu_j - xbar)] of shape (n, k*d),
+where F_j^T F_j = Sigma_j^{-1} and xbar is the mixture's mean, and reads the
+log-responsibilities and the log-density from H.  A mixture's F_j are its
+inverse Cholesky factors.  A path diagonalizes each pair once (Golub & Van
+Loan, Matrix Computations, section 8.7): C = V V^T and S = V diag(lam) V^T,
+so Sigma(t) = V diag(a^2 + b^2 lam) V^T, and a call whitens with
+F = diag(a^2 + b^2 lam)^{-1/2} V^{-1}, a row scaling with no Cholesky
+factor or inverse.  One more product of the responsibility-weighted H with
+the stacked per-pair blocks [F A | F | b F S | a F C], A = b S - a C, gives
+the velocity, score, denoiser and E[x0 | x] together; the Jacobians come
+from the same H and responsibilities.
+
+Each output row is bitwise that row of any larger batch (tested at d = 1, 2
+and 8 with 16 pairs), as long as BLAS computes the rows of a matrix-matrix
+product apart.  numpy's matmul takes BLAS's matrix-vector path for a single
+row, so a one-row batch is evaluated as two copies of its row (`_rows`), and
+the sums of width d or d^2 go row by row.
 """
 
 from __future__ import annotations
@@ -22,35 +38,47 @@ from .schedule import InterpolantSchedule
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
-def _factor(covs: np.ndarray):
-    """Cholesky factors, their inverses and the log-determinants of (k, d, d)
-    SPD matrices; raises LinAlgError if one is not positive definite."""
-    chols = np.linalg.cholesky(covs)
-    logdets = 2.0 * np.log(np.diagonal(chols, axis1=-2, axis2=-1)).sum(axis=-1)
-    return chols, np.linalg.inv(chols), logdets
-
-
 def _logsumexp(a: np.ndarray, axis: int = 0) -> np.ndarray:
-    """log sum exp(a) along ``axis``, shifted by the finite maxima; NaN, +inf
-    and all -inf give NaN, +inf and -inf."""
-    m = np.max(a, axis=axis, keepdims=True)
+    """log sum exp(a) along ``axis`` of the array a, shifted by the finite
+    maxima; NaN, +inf and all -inf give NaN, +inf and -inf."""
+    m = a.max(axis=axis, keepdims=True)
     m[~np.isfinite(m)] = 0.0
-    return np.log(np.sum(np.exp(a - m), axis=axis)) + np.squeeze(m, axis)
+    return np.log(np.exp(a - m).sum(axis=axis)) + m.squeeze(axis)
 
 
-def _kernel(x: np.ndarray, log_w: np.ndarray, means: np.ndarray,
-            inv_chols: np.ndarray, logdets: np.ndarray):
-    """Posterior of rows x (n, d) under k weighted Gaussians given by their
-    inverse Cholesky factors (k, d, d): log-responsibilities (k, n),
-    log-density (n,) and whitened residuals L^{-1}(x - mu) (k, n, d).
+def _rows(x) -> tuple[np.ndarray, int]:
+    """x as a float (n, d) array of at least two rows, and its row count n:
+    a single row is doubled, so every product below is matrix-matrix."""
+    x2 = np.atleast_2d(np.asarray(x, dtype=float))
+    n = x2.shape[0]
+    return (np.concatenate((x2, x2)) if n == 1 else x2), n
 
-    Arrays are component-first, so each product is one matmul per component.
+
+def _kernel(x: np.ndarray, center: np.ndarray, ft: np.ndarray, c: np.ndarray,
+            log_w: np.ndarray, logdets: np.ndarray):
+    """Posterior of rows x (n, d) under k weighted Gaussians, given by
+    whitening factors F_j with F_j^T F_j = Sigma_j^{-1}, stacked as
+    ft = [F_1; ...; F_k]^T (d, k*d), the products c = [F_j (mu_j - center)]
+    (k*d,) for the mixture's mean ``center`` (d,), the log-weights (k,) and
+    d log 2 pi + log det Sigma_j (k,).
+
+    Returns the whitened residuals h_j = F_j (x - mu_j) as (n, k, d), the
+    log-responsibilities (n, k) and the log-density (n,).  The rows are
+    centred first, so the rounding of the product scales with the
+    mixture's spread, not with |x|.
     """
-    half = (x - means[:, None, :]) @ inv_chols.swapaxes(1, 2)
-    quad = np.einsum("kni,kni->kn", half, half)
-    logjoint = log_w[:, None] - 0.5 * (x.shape[1] * _LOG_2PI + logdets[:, None] + quad)
-    log_density = _logsumexp(logjoint)
-    return logjoint - log_density, log_density, half
+    n, d = x.shape
+    h = (x - center) @ ft
+    h -= c
+    h = h.reshape(n, -1, d)
+    # The log-weights come last: components whose quadratic forms tie keep
+    # their weights' ratio however large the forms are.
+    logjoint = np.einsum("nki,nki->nk", h, h)
+    logjoint += logdets
+    logjoint *= -0.5
+    logjoint += log_w
+    log_density = _logsumexp(logjoint, axis=1)
+    return h, logjoint - log_density[:, None], log_density
 
 
 @dataclass(frozen=True)
@@ -82,11 +110,18 @@ class GaussianMixture:
         if not np.allclose(c, np.swapaxes(c, -1, -2)):
             raise ValueError("covariances must be symmetric")
         # The Cholesky factorization also validates positive definiteness.
-        chols, inv_chols, logdets = _factor(c)
+        chols = np.linalg.cholesky(c)
+        inv_chols = np.linalg.inv(chols)
+        logdets = 2.0 * np.log(np.diagonal(chols, axis1=-2, axis2=-1)).sum(axis=-1)
         object.__setattr__(self, "_chols", chols)
         object.__setattr__(self, "_inv_chols", inv_chols)
-        object.__setattr__(self, "_logdets", logdets)
+        # `_kernel`'s whitening factors F_j = L_j^{-1}, stacked and transposed.
+        object.__setattr__(self, "_ft", inv_chols.transpose(2, 0, 1).reshape(d, k * d))
+        object.__setattr__(self, "_center", w @ m)
+        object.__setattr__(self, "_c",
+                           np.einsum("kij,kj->ki", inv_chols, m - self._center).ravel())
         object.__setattr__(self, "_log_w", np.log(w))
+        object.__setattr__(self, "_logdets", d * _LOG_2PI + logdets)
 
     @property
     def n_components(self) -> int:
@@ -106,14 +141,18 @@ class GaussianMixture:
         return out
 
     def _posterior(self, x: np.ndarray):
-        return _kernel(x, self._log_w, self.means, self._inv_chols, self._logdets)
+        """`_kernel` at rows x (n >= 2, d): whitened residuals h_j (n, k, d),
+        log-responsibilities (n, k) and log-density (n,)."""
+        return _kernel(x, self._center, self._ft, self._c, self._log_w, self._logdets)
 
     def log_density(self, x: np.ndarray) -> np.ndarray:
-        return self._posterior(np.atleast_2d(np.asarray(x, dtype=float)))[1]
+        x2, n = _rows(x)
+        return self._posterior(x2)[2][:n]
 
     def log_responsibilities(self, x: np.ndarray) -> np.ndarray:
         """log p(component | x), shape (n, k)."""
-        return self._posterior(np.atleast_2d(np.asarray(x, dtype=float)))[0].T
+        x2, n = _rows(x)
+        return self._posterior(x2)[1][:n]
 
     def to_dict(self) -> dict:
         return {
@@ -175,68 +214,157 @@ class MixturePath:
 
     @cached_property
     def _pairs(self):
-        """Static per-pair data: weights, base/target means and covariances."""
-        kb, kt = self.base.n_components, self.target.n_components
+        """Per-pair factors, computed once per path.
+
+        Pair p couples base component i and target component j.  Each pair
+        is diagonalized on both sides (Golub & Van Loan, Matrix
+        Computations, section 8.7).  On the base side, with C = L L^T and
+        L^{-1} S L^{-T} = Q diag(lam) Q^T, V = L Q gives C = V V^T and
+        S = V diag(lam) V^T, and W = V^{-1} = Q^T L^{-1}; the target side
+        swaps C and S.  In either basis C = V diag(e_c) V^T and
+        S = V diag(e_s) V^T, with (e_c, e_s) = (1, lam) on the base side.
+
+        ``sides`` holds, per side, pair and row k of the basis,
+        [V^T | W | V^T | V^T | e_c, e_s, 1, W (m - mbar), W (n - nbar)], where
+        mbar and nbar are the base and target means, and ``logdet`` d log
+        2 pi + log det L L^T.  ``ends`` holds the blocks, whitened mean
+        offsets and log-determinants at t = 0 and t = 1 from the base's and
+        the target's own factors.  ``k`` holds the constant terms n - m, 0,
+        n and m of the four output blocks.
+        """
+        base, target = self.base, self.target
+        kb, kt = base.n_components, target.n_components
         i_idx = np.repeat(np.arange(kb), kt)
         j_idx = np.tile(np.arange(kt), kb)
+        m, n = base.means[i_idx], target.means[j_idx]
+        offsets = (m - base._center, n - target._center)
+        sides, logdets, ends = [], [], []
+        for own, idx, other, on_base in ((base, i_idx, target.covariances[j_idx], True),
+                                         (target, j_idx, base.covariances[i_idx], False)):
+            chol, inv = own._chols[idx], own._inv_chols[idx]
+            e, q = np.linalg.eigh(inv @ other @ inv.swapaxes(1, 2))
+            if on_base:
+                # The target side serves a pair once b^2 sqrt(lam_min
+                # lam_max) > a^2: there its eigenvalues carry the smaller
+                # rounding error relative to a^2 e_c + b^2 e_s.
+                balance = np.sqrt(e.min(axis=1) * e.max(axis=1))
+            w = q.swapaxes(1, 2) @ inv
+            vt = q.swapaxes(1, 2) @ chol.swapaxes(1, 2)
+            one = np.ones_like(e)
+            e_c, e_s = (one, e) if on_base else (e, one)
+            w_offsets = [np.einsum("pij,pj->pi", w, o) for o in offsets]
+            sides.append(np.concatenate(
+                (vt, w, vt, vt, np.stack((e_c, e_s, one, *w_offsets), axis=2)), axis=2))
+            logdets.append(own._logdets[idx])
+            lt, zero = chol.swapaxes(1, 2), np.zeros_like(chol)
+            ends.append((
+                np.concatenate((-lt, inv, zero, lt) if on_base else (lt, inv, lt, zero), axis=2),
+                np.einsum("pij,pj->pi", inv, offsets[0 if on_base else 1]).ravel(),
+                own._logdets[idx]))
         return {
-            "log_w": (np.log(self.base.weights)[i_idx] + np.log(self.target.weights)[j_idx]),
-            "m": self.base.means[i_idx],
-            "n": self.target.means[j_idx],
-            "C": self.base.covariances[i_idx],
-            "S": self.target.covariances[j_idx],
+            "log_w": np.log(base.weights)[i_idx] + np.log(target.weights)[j_idx],
+            "index": np.arange(len(i_idx)),
+            "balance": balance,
+            "sides": np.stack(sides),
+            "logdet": np.stack(logdets),
+            "ends": ends,
+            "center": np.stack((base._center, target._center), axis=1),
+            "k": np.concatenate((n - m, np.zeros_like(m), n, m), axis=1),
         }
 
     def _pass(self, t: float, x: np.ndarray):
-        """The kernel pass at (t, x) for rows x (n, d), pairs first: the
-        interpolant's (a, b) = (alpha(t), beta(t)), responsibilities r (P,n),
-        solves u = Sigma^{-1}(x - mu) (P,n,d), log-density (n,) and the
-        inverse Cholesky factors (P,d,d) of the pair covariances."""
+        """The kernel pass at (t, x) for rows x (n >= 2, d).
+
+        Pair p is whitened by F = diag(a^2 e_c + b^2 e_s)^{-1/2} W, on the
+        base side while b^2 sqrt(lam_min lam_max) <= a^2 and on the target
+        side after.  At t = 0 (t = 1) every pair's covariance is its base
+        (target) component's, and F is that mixture's own L^{-1}, so pairs
+        that share the component stay bitwise tied there.
+
+        Returns the per-pair blocks [F A | F | b F S | a F C] (P, d, 4d),
+        A = b S - a C; the whitened residuals h_p = F_p (x - mu_p)
+        (n, P, d); the responsibilities r (n, P) and the log-density (n,).
+        """
         if not np.isfinite(x).all():
             raise ValueError("non-finite state")
-        s, p = self.schedule, self._pairs
-        a, b = s.alpha(t), s.beta(t)
-        _, inv_l, logdets = _factor(a * a * p["C"] + b * b * p["S"])
-        log_r, log_density, half = _kernel(x, p["log_w"], a * p["m"] + b * p["n"],
-                                           inv_l, logdets)
-        return (a, b), np.exp(log_r), half @ inv_l, log_density, inv_l
+        p = self._pairs
+        a, b = self.schedule.alpha(t), self.schedule.beta(t)
+        d = x.shape[1]
+        ab = np.array([a, b])
+        if a == 0.0 or b == 0.0:
+            blocks, c, logdets = p["ends"][int(a == 0.0)]
+        else:
+            side = (b * b * p["balance"] > a * a).astype(np.intp)
+            g = p["sides"][side, p["index"]]
+            # Per row of the basis: the variance a^2 e_c + b^2 e_s, then the
+            # unscaled coefficients of the four blocks and W (mu - xbar).
+            terms = g[..., 4 * d:] @ np.array([[a * a, -a, 0.0, 0.0, a, 0.0],
+                                                [b * b, b, 0.0, b, 0.0, 0.0],
+                                                [0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+                                                [0.0, 0.0, 0.0, 0.0, 0.0, a],
+                                                [0.0, 0.0, 0.0, 0.0, 0.0, b]])
+            var = terms[..., 0]
+            scaled = terms[..., 1:] * var[..., None] ** -0.5
+            blocks = scaled[..., :4, None] * g[..., :4 * d].reshape(-1, d, 4, d)
+            blocks = blocks.reshape(-1, d, 4 * d)
+            c = scaled[..., 4].ravel()
+            logdets = p["logdet"][side, p["index"]] + np.log(var).sum(axis=1)
+        ft = blocks[:, :, d:2 * d].reshape(-1, d).T
+        h, log_r, log_density = _kernel(x, p["center"] @ ab, ft, c, p["log_w"], logdets)
+        return blocks, h, np.exp(log_r), log_density
+
+    def _sums(self, blocks: np.ndarray, h: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """The responsibility-weighted sums of the blocks plus their constant
+        terms (n, 4d): velocity, -score, denoiser and E[x0 | x], as one
+        product of the stacked blocks with r * h, which overwrites h."""
+        n, _, d = h.shape
+        h *= r[:, :, None]
+        sums = h.reshape(n, -1) @ blocks.reshape(-1, 4 * d)
+        sums += r @ self._pairs["k"]
+        return sums
 
     def dynamics(self, t: float, x: np.ndarray, jacobian: str | None = None) -> DynamicsAt:
         """Closed-form velocity, score, denoiser, log-density at (t, x).
 
         ``jacobian`` ("velocity" or "denoiser") adds that field's spatial
-        Jacobian, computed from the same responsibilities.
+        Jacobian, computed from the same whitened residuals and
+        responsibilities.
         """
         if jacobian not in _JACOBIANS:
             raise ValueError(f"unknown jacobian {jacobian!r}; expected one of {_JACOBIANS}")
-        x = np.asarray(x, dtype=float)
-        (a, b), r, u, log_density, inv_l = self._pass(t, np.atleast_2d(x))
-        p = self._pairs
-        # Per-pair denoiser e1_p = n + b*S u_p and velocity v_p = e1_p - e0_p
-        # = (n - m) + A_p u_p with A_p = b*S - a*C.
-        lin = {"velocity": b * p["S"] - a * p["C"], "denoiser": b * p["S"]}
-        v = (p["n"] - p["m"])[:, None, :] + u @ lin["velocity"].swapaxes(1, 2)
-        e1 = p["n"][:, None, :] + u @ lin["denoiser"].swapaxes(1, 2)
-        score = -np.einsum("pn,pni->ni", r, u)
-        jac = None
-        if jacobian is not None:
-            # grad sum_p r_p f_p = sum_p r_p A_p Sigma_p^{-1} + sum_p r_p f_p g_p^T,
-            # where g_p = grad log r_p = -u_p - score.
-            P, n, d = u.shape
-            f = v if jacobian == "velocity" else e1
-            grads = lin[jacobian] @ inv_l.swapaxes(1, 2) @ inv_l
-            jac = ((r.T @ grads.reshape(P, d * d)).reshape(n, d, d)
-                   + (r[:, :, None] * f).transpose(1, 2, 0) @ (-u - score).transpose(1, 0, 2))
-        out = (np.einsum("pn,pni->ni", r, v), score, np.einsum("pn,pni->ni", r, e1),
-               log_density, jac)
-        if x.ndim == 1:
-            out = tuple(None if o is None else o[0] for o in out)
-        return DynamicsAt(*out)
+        x2, rows = _rows(x)
+        blocks, h, r, log_density = self._pass(t, x2)
+        n, d = x2.shape
+        if jacobian is None:
+            sums, jac = self._sums(blocks, h, r), None
+        else:
+            # grad sum_p r_p f_p = sum_p r_p M_p + sum_p r_p f_p g_p^T, with
+            # f_p = c_p + A_p u_p the pair's field, whose block is G_p = F_p A_p
+            # (A_p = b S - a C for the velocity, b S for the denoiser),
+            # M_p = A_p Sigma_p^{-1} = G_p^T F_p and g_p = grad log r_p
+            # = sum_q r_q u_q - u_p.  G_p and F_p are adjacent blocks:
+            # [F A | F] for the velocity, [F | b F S] for the denoiser.
+            lo, f_at, u_at = ((0, slice(0, d), slice(d, None)) if jacobian == "velocity"
+                              else (d, slice(d, None), slice(0, d)))
+            pair_blocks = blocks[:, :, lo:lo + 2 * d]
+            per_pair = np.matmul(h.transpose(1, 0, 2), pair_blocks)
+            per_pair += self._pairs["k"][:, None, lo:lo + 2 * d]
+            sums = self._sums(blocks, h, r)
+            f, u = per_pair[:, :, f_at], per_pair[:, :, u_at]
+            f *= r.T[:, :, None]
+            np.subtract(sums[:, d:2 * d], u, out=u)
+            jac = f.transpose(1, 2, 0) @ u.transpose(1, 0, 2)
+            lin = pair_blocks[:, :, f_at].transpose(0, 2, 1) @ pair_blocks[:, :, u_at]
+            jac += np.matmul(r[:, None, :], lin.reshape(-1, d * d)).reshape(n, d, d)
+        out = (sums[:, :d], -sums[:, d:2 * d], sums[:, 2 * d:3 * d], log_density, jac)
+        if np.ndim(x) == 1:
+            return DynamicsAt(*(None if o is None else o[0] for o in out))
+        return DynamicsAt(*(None if o is None else o[:rows] for o in out))
 
     def conditional_means(self, t: float, x: np.ndarray):
         """Posterior-averaged E[x0 | I_t=x] and E[x1 | I_t=x]."""
-        (a, b), r, u, _, _ = self._pass(t, np.atleast_2d(np.asarray(x, dtype=float)))
-        p = self._pairs
-        e1 = p["n"][:, None, :] + b * (u @ p["S"].swapaxes(1, 2))
-        e0 = p["m"][:, None, :] + a * (u @ p["C"].swapaxes(1, 2))
-        return np.einsum("pn,pni->ni", r, e0), np.einsum("pn,pni->ni", r, e1)
+        x2, rows = _rows(x)
+        blocks, h, r, _ = self._pass(t, x2)
+        sums = self._sums(blocks, h, r)
+        d = x2.shape[1]
+        return sums[:rows, 3 * d:], sums[:rows, 2 * d:3 * d]

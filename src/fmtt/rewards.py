@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .flowmap import FlowMapEvaluator, _check_k_steps
-from .mixtures import GaussianMixture, MixturePath
+from .mixtures import GaussianMixture, MixturePath, _rows
 
 
 class Reward:
@@ -41,7 +41,8 @@ class LinearReward(Reward):
         object.__setattr__(self, "coeffs", np.atleast_1d(np.asarray(self.coeffs, dtype=float)))
 
     def value(self, x):
-        return np.atleast_2d(x) @ self.coeffs
+        # Row by row: a matrix-vector product rounds a row by its batch.
+        return np.einsum("ni,i->n", np.atleast_2d(x), self.coeffs)
 
     def grad(self, x):
         return np.repeat(self.coeffs[None], np.atleast_2d(x).shape[0], axis=0)
@@ -85,11 +86,16 @@ class LogResponsibilityReward(Reward):
 
     def value_and_grad(self, x):
         """Both from one kernel pass."""
-        log_resp, _, half = self.mixture._posterior(np.atleast_2d(np.asarray(x, dtype=float)))
-        u = half @ self.mixture._inv_chols  # u_j = C_j^{-1}(x - m_j) = L_j^{-T} half_j
-        # grad log p(c|x) = -u_c + sum_j p(j|x) u_j
-        g = -u[self.component] + np.einsum("kn,kni->ni", np.exp(log_resp), u)
-        return self.scale * log_resp[self.component], self.scale * g
+        x2, n = _rows(x)
+        h, log_resp, _ = self.mixture._posterior(x2)
+        # grad log p(c|x) = sum_j (p(j|x) - [j = c]) C_j^{-1}(x - m_j), and
+        # C_j^{-1}(x - m_j) = L_j^{-T} h_j: one product per row of the
+        # weighted h with the stacked L_j^{-1}.
+        weights = np.exp(log_resp)
+        weights[:, self.component] -= 1.0
+        h *= weights[:, :, None]
+        g = np.matmul(h.reshape(len(h), 1, -1), self.mixture._inv_chols.reshape(-1, h.shape[2]))
+        return self.scale * log_resp[:n, self.component], self.scale * g[:n, 0]
 
 
 @dataclass(frozen=True)

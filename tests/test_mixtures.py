@@ -185,6 +185,22 @@ def _random_path(kb, kt, d, seed):
     return MixturePath(base, target), x
 
 
+def _near_degenerate_path(kt, d, seed):
+    """A base whose covariance diag(1, ..., 1, 1e-8) has condition number
+    1e8, and rows in the bulk of its support: their last coordinate is the
+    base mean's.  Off the support, or far in its tails, the fields at t = 0
+    are themselves ill-conditioned (C^{-1} amplifies the rounding of x by
+    1e8), so no two kernels need agree there."""
+    rng = np.random.default_rng(seed)
+    cov = np.diag(np.r_[np.ones(d - 1), 1e-8])
+    base = GaussianMixture([1.0], rng.normal(size=(1, d)), cov[None])
+    target = GaussianMixture(rng.dirichlet(np.ones(kt) * 3), 2 * rng.normal(size=(kt, d)),
+                             _random_spd(rng, kt, d))
+    x = rng.normal(size=(16, d)) * 1.5
+    x[:, -1] = base.means[0, -1]
+    return MixturePath(base, target), x
+
+
 def _per_pair_reference(path, t, x):
     """The per-pair loop the batched kernel replaced, one np.linalg.solve per
     pair: velocity, score, denoiser, log-density and both Jacobians."""
@@ -233,10 +249,21 @@ def _assert_agrees(new, old):
     assert np.max(np.abs(new - old)) <= 1e-11 * scale
 
 
-@pytest.mark.parametrize("kb,kt,d", [(1, 2, 1), (2, 2, 2), (2, 8, 8)])
+@pytest.mark.parametrize("kb,kt,d,base_cond", [
+    pytest.param(1, 2, 1, None, id="1-2-1"),
+    pytest.param(2, 2, 2, None, id="2-2-2"),
+    pytest.param(2, 8, 8, None, id="2-8-8"),
+    # Factoring each pair once on its base covariance alone loses ~1e-8
+    # here at t = 0.37.
+    pytest.param(1, 2, 8, 1e8, id="1-2-8-cond1e8"),
+])
 @pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
-def test_batched_kernel_matches_per_pair_loop(kb, kt, d, t):
-    path, x = _random_path(kb, kt, d, seed=kb * 100 + kt * 10 + d)
+def test_batched_kernel_matches_per_pair_loop(kb, kt, d, base_cond, t):
+    seed = kb * 100 + kt * 10 + d
+    path, x = (_random_path(kb, kt, d, seed) if base_cond is None
+               else _near_degenerate_path(kt, d, seed))
+    if base_cond is not None:
+        assert np.linalg.cond(path.base.covariances[0]) == pytest.approx(base_cond)
     ref = _per_pair_reference(path, t, x)
     dyn = path.dynamics(t, x)
     for name in ("velocity", "score", "denoiser", "log_density"):
@@ -302,3 +329,62 @@ def test_logsumexp_matches_scipy_including_non_finite_inputs():
         for axis in (0, 1):
             assert np.allclose(_logsumexp(a, axis), logsumexp(a, axis=axis),
                                rtol=1e-15, atol=0)
+
+
+def test_path_kernel_makes_no_cholesky_or_inverse(monkeypatch):
+    # The mixtures factor their covariances when built, and a path
+    # diagonalizes its pairs once, at its first kernel pass; no call after
+    # that factors, inverts or diagonalizes a matrix.
+    path, x = _random_path(2, 8, 8, seed=3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the path kernel factored a matrix")
+
+    for refused in (("cholesky", "inv"), ("cholesky", "inv", "eigh", "solve")):
+        for name in refused:
+            monkeypatch.setattr(np.linalg, name, refuse)
+        for t in (0.0, 0.37, 1.0):
+            for jacobian in (None, "velocity", "denoiser"):
+                path.dynamics(t, x, jacobian=jacobian)
+            path.conditional_means(t, x)
+
+
+ROW_PATHS = [(2, 8, 1), (2, 8, 2), (2, 8, 8)]
+ROW_BATCHES = (1, 2, 3, 15, 37, 128, 599)
+
+
+def _fields(path, t, x):
+    dyn = [path.dynamics(t, x, jacobian=j) for j in (None, "velocity", "denoiser")]
+    return ([getattr(dyn[0], f) for f in ("velocity", "score", "denoiser", "log_density")]
+            + [dyn[1].jacobian, dyn[2].jacobian, *path.conditional_means(t, x)])
+
+
+@pytest.mark.parametrize("kb,kt,d", ROW_PATHS)
+@pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
+def test_kernel_rows_do_not_depend_on_their_batch(kb, kt, d, t):
+    # Each row of every field, both Jacobians included, is bitwise that row
+    # of a larger call, wherever it sits in the batch.
+    path, _ = _random_path(kb, kt, d, seed=11)
+    x = np.random.default_rng(12).normal(scale=2.0, size=(600, d))
+    full = _fields(path, t, x)
+    for n in ROW_BATCHES:
+        for start in (0, 600 - n):
+            for got, want in zip(_fields(path, t, x[start:start + n]), full):
+                assert np.array_equal(got, want[start:start + n]), (n, start)
+    # A 1-D state gives the fields of that row (conditional_means keeps
+    # its row axis).
+    for got, want in zip(_fields(path, t, x[5]), full):
+        assert np.array_equal(np.reshape(got, want[5].shape), want[5])
+
+
+@pytest.mark.parametrize("d", [1, 2, 8])
+def test_mixture_rows_do_not_depend_on_their_batch(d):
+    path, _ = _random_path(1, 16, d, seed=13)
+    gm = path.target
+    x = np.random.default_rng(14).normal(scale=2.0, size=(600, d))
+    full = gm.log_density(x), gm.log_responsibilities(x)
+    for n in ROW_BATCHES:
+        for start in (0, 600 - n):
+            assert np.array_equal(gm.log_density(x[start:start + n]), full[0][start:start + n])
+            assert np.array_equal(gm.log_responsibilities(x[start:start + n]),
+                                  full[1][start:start + n])

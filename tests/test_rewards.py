@@ -267,14 +267,9 @@ def test_stacked_probes_match_one_probe_per_call(mode, d, probe):
         x = np.random.default_rng(n).normal(scale=1.5, size=(n, d))
         est = hutchinson_laplacian(rt, 0.6, x, m, 1e-3, np.random.default_rng(4), probe)
         ref = reference_laplacian(rt, 0.6, x, m, 1e-3, np.random.default_rng(4), probe)
-        if d == 1 and mode != "naive":
-            # The path kernel's d = 1 Jacobian sums its pairs in a BLAS
-            # matrix-vector product, which rounds some rows differently in
-            # batches of other sizes; every other look-ahead here is
-            # row-invariant, so stacking its probes changes no bit.
-            assert np.max(np.abs(est - ref)) <= 1e-12 * np.max(np.abs(ref))
-        else:
-            assert np.array_equal(est, ref)
+        # Every look-ahead here is row-invariant, so stacking its probes
+        # changes no bit.
+        assert np.array_equal(est, ref)
 
 
 def test_stacked_probes_of_one_state_add_up_in_turn():
@@ -322,3 +317,27 @@ def test_probe_calls_stay_within_the_element_bound(n, d, m):
     assert len(rt.shapes) == -(-m // per_call)
     assert sum(rows for rows, _ in rt.shapes) == 2 * n * m
     assert all(rows * d <= max(STACK_ELEMENTS, 2 * n * d) for rows, _ in rt.shapes)
+
+
+def _rewards_in(d):
+    """Every kind of reward at dimension d; the mixture has 16 components."""
+    rng = np.random.default_rng(d)
+    gm = GaussianMixture(rng.dirichlet(np.ones(16)), 2 * rng.normal(size=(16, d)),
+                         np.broadcast_to(0.3 * np.eye(d), (16, d, d)))
+    quad = QuadraticReward(0.7)
+    return [LinearReward(rng.normal(size=d)), quad, LogResponsibilityReward(gm, 3, 0.4),
+            ZeroReward(), CustomReward(quad.value), CustomReward(quad.value, quad.grad)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 8])
+def test_reward_rows_do_not_depend_on_their_batch(d):
+    # value_and_grad of each row is bitwise that row of a 600-row call,
+    # wherever it sits in the batch, a single row included.
+    x = np.random.default_rng(20).normal(scale=2.0, size=(600, d))
+    for reward in _rewards_in(d):
+        full = reward.value_and_grad(x)
+        for n in (1, 2, 3, 15, 37, 128, 599):
+            for start in (0, 600 - n):
+                part = reward.value_and_grad(x[start:start + n])
+                for got, want in zip(part, full):
+                    assert np.array_equal(got, want[start:start + n]), (reward, n, start)
