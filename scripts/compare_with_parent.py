@@ -44,10 +44,6 @@ Both compute the same outputs:
   steps) and every file that `fmtt diagnose --paper-literal` writes for it at
   `n_runs: 2`, at the same seeds.
 
-Each `RunConfig` is built with the Hutchinson settings in whichever form the
-imported `fmtt` takes them: one `hutchinson` mapping, or the older flat
-`hutchinson_probes`.
-
 Every output is reported as bitwise equal, or with its largest absolute
 difference and that difference relative to the output's largest magnitude
 (arrays), or as differing (files), with the largest absolute and relative
@@ -108,14 +104,6 @@ def public_names(package) -> list[str]:
                 attrs |= {f.name for f in dataclasses.fields(obj)}
             names += [f"fmtt.{name}.{a}" for a in attrs if not a.startswith("_")]
     return sorted(names)
-
-
-def hutchinson_probes(fmtt, probes: int) -> dict:
-    """RunConfig arguments that set the Hutchinson probe count, in the form
-    the imported fmtt takes."""
-    if "hutchinson" in {f.name for f in dataclasses.fields(fmtt.RunConfig)}:
-        return {"hutchinson": {"probes": probes}}
-    return {"hutchinson_probes": probes}
 
 
 def kernel_outputs(fmtt, name: str, path, reward, x: np.ndarray) -> dict:
@@ -185,7 +173,7 @@ def dump(out: str) -> None:
             for chi in ("default",) if scheme == "simplified" else GRID_CHIS:
                 cfg = fmtt.RunConfig(n_particles=16, n_steps=8, chi=chi, weight_scheme=scheme,
                                      expectation_samples=4, seed=7,
-                                     **hutchinson_probes(fmtt, 4))
+                                     hutchinson={"probes": 4})
                 res = fmtt.run(cfg, path, rt)
                 key = f"grid/{mode}/{scheme}/{chi}"
                 arrays[f"{key}/positions"] = res.ensemble.positions
@@ -201,7 +189,7 @@ def dump(out: str) -> None:
 
     for mode, scheme, n, m in CHUNK_RUNS:
         rt = fmtt.TimeDependentReward(reward, mode, path)
-        samples = (hutchinson_probes(fmtt, m) if scheme == "laplacian"
+        samples = ({"hutchinson": {"probes": m}} if scheme == "laplacian"
                    else {"expectation_samples": m})
         cfg = fmtt.RunConfig(n_particles=n, n_steps=8, chi="local_tilt", weight_scheme=scheme,
                              seed=7, **samples)

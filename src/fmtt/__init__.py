@@ -27,8 +27,8 @@ from .errors import (ConfigError, DegenerateEnsembleError,
                      SchemeCompatibilityError, ToleranceError)
 from .flowmap import FlowMapEvaluator, JacobianResult, gaussian_pair_closed_form
 from .mixtures import DynamicsAt, GaussianMixture, MixturePath, standard_normal
-from .oracles import (GaussianTilt, SnisEstimate, finite_diff_grad,
-                      gaussian_tilt_closed_form, snis_tilted_expectation)
+from .oracles import (SnisEstimate, finite_diff_grad, snis_tilted_expectation,
+                      tilted_mixture)
 from .rewards import (CustomReward, LinearReward, LogResponsibilityReward,
                       Lookahead, QuadraticReward, Reward, TimeDependentReward,
                       ZeroReward, hutchinson_laplacian)

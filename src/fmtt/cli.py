@@ -20,7 +20,7 @@ import numpy as np
 from . import diagnostics as dg
 from .config import ExperimentConfig
 from .errors import ConfigError, DiagnosticsUndefinedError, FmttError
-from .oracles import gaussian_tilt_closed_form, snis_tilted_expectation
+from .oracles import snis_tilted_expectation, tilted_mixture
 from .smc import RunResult, _normalized_weights, run
 from .verify import SUITES, run_suites
 
@@ -72,24 +72,18 @@ def _diagnostics_summary(trace: dg.DiscrepancyTrace, profile: dg.BarrierProfile)
 
 
 def _oracle_comparison(cfg: ExperimentConfig, rng: np.random.Generator) -> dict | None:
-    """Ground-truth tilted mean where an oracle applies: closed form for
-    linear/quadratic tilts of a single-Gaussian target, SNIS otherwise."""
-    kind, params, target = cfg.reward["kind"], cfg.reward["params"], cfg.path.target
-    if kind == "zero":
-        return None
-    if target.n_components == 1 and target.dim == 1:
-        mu = float(target.means[0, 0])
-        var = float(target.covariances[0, 0, 0])
-        if kind in ("linear", "quadratic"):
-            strength = params["coeffs"][0] if kind == "linear" else params["gamma"]
-            tilt = gaussian_tilt_closed_form(mu, var, **{kind: strength})
-            return {"kind": "closed_form", "oracle_mean": tilt.mean,
-                    "oracle_stderr": 0.0}
-    if target.dim <= 2:
-        est = snis_tilted_expectation(target, cfg.rt.base, lambda x: x[:, 0], 10**6, rng)
-        return {"kind": "snis", "oracle_mean": est.estimate,
-                "oracle_stderr": est.stderr}
-    return None
+    """Ground-truth tilted x_0 mean: the closed form, with its log Z, where
+    `tilted_mixture` applies; SNIS at d <= 2 where it does not."""
+    target, reward = cfg.path.target, cfg.rt.base
+    try:
+        log_z, tilted = tilted_mixture(target, reward)
+    except ValueError:
+        if target.dim > 2:
+            return None
+        est = snis_tilted_expectation(target, reward, lambda x: x[:, 0], 10**6, rng)
+        return {"kind": "snis", "oracle_mean": est.estimate, "oracle_stderr": est.stderr}
+    return {"kind": "closed_form", "oracle_mean": float(tilted.weights @ tilted.means[:, 0]),
+            "oracle_stderr": 0.0, "log_z": log_z}
 
 
 def cmd_sample(cfg: ExperimentConfig, out: Path) -> dict:

@@ -17,6 +17,7 @@ import yaml
 
 from .errors import ConfigError
 from .mixtures import GaussianMixture, MixturePath, standard_normal
+from .oracles import tilted_mixture
 from .rewards import (LinearReward, LogResponsibilityReward, QuadraticReward,
                       TimeDependentReward, ZeroReward)
 from .schedule import InterpolantSchedule
@@ -66,13 +67,18 @@ def _lookahead_reward(block: dict, path: MixturePath) -> TimeDependentReward:
     """The look-ahead reward on path that a resolved reward block states."""
     kind, params, target = block["kind"], block["params"], path.target
     try:
-        if kind == "linear" and len(params["coeffs"]) != target.dim:
-            raise ValueError(f"coeffs needs one entry per dimension ({target.dim})")
         if kind == "log_responsibility":
             base = LogResponsibilityReward(target, **params)
         else:
             base = {"zero": ZeroReward, "linear": LinearReward,
                     "quadratic": QuadraticReward}[kind](**params)
+        if kind in ("linear", "quadratic"):
+            # The closed form refuses coeffs of another dimension and an improper gamma.
+            try:
+                tilted_mixture(target, base)
+            except ValueError as exc:
+                key = "coeffs" if kind == "linear" else "gamma"
+                raise ConfigError(f"reward.params.{key}: {exc}") from exc
         return TimeDependentReward(base, block["mode"], path, k=block["k"])
     except ValueError as exc:
         raise ConfigError(f"reward: {exc}") from exc

@@ -22,10 +22,17 @@ from .mixtures import MixturePath
 SCHEMES = ("euler", "heun")
 
 
+def _check_count(value, name: str) -> None:
+    """Raise ValueError unless value is an integer >= 1 (numpy's too, a bool never)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def _check_k_steps(k: int, scheme: str) -> None:
     """Raise ValueError unless ``k`` >= 1 steps of a known fixed-step scheme."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_count(k, "k")
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
 

@@ -362,9 +362,8 @@ class MixturePath:
         return DynamicsAt(*(None if o is None else o[:rows] for o in out))
 
     def conditional_means(self, t: float, x: np.ndarray):
-        """Posterior-averaged E[x0 | I_t=x] and E[x1 | I_t=x]."""
+        """Posterior-averaged E[x0 | I_t=x] and E[x1 | I_t=x], each of x's shape."""
         x2, rows = _rows(x)
         blocks, h, r, _ = self._pass(t, x2)
-        sums = self._sums(blocks, h, r)
-        d = x2.shape[1]
-        return sums[:rows, 3 * d:], sums[:rows, 2 * d:3 * d]
+        sums = self._sums(blocks, h, r)[0 if np.ndim(x) == 1 else slice(rows)]
+        return sums[..., 3 * self.dim:], sums[..., 2 * self.dim:3 * self.dim]

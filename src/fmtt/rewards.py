@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .flowmap import FlowMapEvaluator, _check_k_steps
+from .flowmap import FlowMapEvaluator, _check_count, _check_k_steps
 from .mixtures import GaussianMixture, MixturePath, _rows
 
 
@@ -232,15 +232,6 @@ PROBES = ("gaussian", "rademacher")
 # gains little from larger calls, and at d=8 with 16 pairs a call of 2,048
 # rows takes longer than two of 1,024.
 STACK_ELEMENTS = 8_192
-
-
-def _check_count(value, name: str) -> None:
-    """Raise ValueError unless value is an integer >= 1; a numpy integer
-    passes, a bool never does."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def _check_hutchinson(m_probes: int, eps: float, probe: str, where: str = "") -> None:

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SchemeCompatibilityError
+from .flowmap import _check_count
 from .mixtures import DynamicsAt, MixturePath, _logsumexp
-from .rewards import (Lookahead, TimeDependentReward, _check_count, _stacked_samples,
-                      hutchinson_laplacian)
+from .rewards import Lookahead, TimeDependentReward, _stacked_samples, hutchinson_laplacian
 
 WEIGHT_SCHEMES = ("simplified", "laplacian", "ito", "expectation")
 

@@ -507,27 +507,47 @@ def check_snis_quadratic():
 
 
 def check_closed_form_examples():
-    lin = oracles.gaussian_tilt_closed_form(0.0, 1.0, linear=0.5)
-    quad = oracles.gaussian_tilt_closed_form(0.0, 1.0, quadratic=1.0)
-    ok = (abs(lin.mean - 0.5) < 1e-15 and abs(lin.log_normalizer + 0.125) < 1e-15
-          and abs(quad.variance - 0.5) < 1e-15
-          and abs(quad.log_normalizer - 0.5 * np.log(2)) < 1e-15)
+    log_z_lin, lin = oracles.tilted_mixture(standard_normal(1), LinearReward([0.5]))
+    log_z_quad, quad = oracles.tilted_mixture(standard_normal(1), QuadraticReward(1.0))
+    ok = (abs(lin.means[0, 0] - 0.5) < 1e-15 and abs(log_z_lin - 0.125) < 1e-15
+          and abs(quad.covariances[0, 0, 0] - 0.5) < 1e-15
+          and abs(log_z_quad + 0.5 * np.log(2)) < 1e-15)
     return ok, "linear and quadratic complete-the-square values"
 
 
 def check_normalizer_consistency():
-    # exp(F) * E[exp(r)] = 1, E[exp(r)] by 1D quadrature.
+    # Z = E[exp(r)], the expectation by 1D quadrature.
     from scipy.integrate import quad
-    for kind, tilt in (("linear", oracles.gaussian_tilt_closed_form(0.3, 0.7, linear=0.4)),
-                       ("quadratic", oracles.gaussian_tilt_closed_form(0.3, 0.7, quadratic=0.9))):
+    target = GaussianMixture([1.0], [[0.3]], [[[0.7]]])
+    for kind, reward in (("linear", LinearReward([0.4])), ("quadratic", QuadraticReward(0.9))):
+        log_z, _ = oracles.tilted_mixture(target, reward)
+
         def integrand(x, kind=kind):
             dens = np.exp(-0.5 * (x - 0.3) ** 2 / 0.7) / np.sqrt(2 * np.pi * 0.7)
             r = 0.4 * x if kind == "linear" else -0.45 * x**2
             return dens * np.exp(r)
         val, _ = quad(integrand, -20, 20)
-        if abs(np.exp(tilt.log_normalizer) * val - 1.0) > 1e-8:
-            return False, f"{kind} normalizer off: {np.exp(tilt.log_normalizer) * val}"
-    return True, "exp(F) * E[exp(r)] = 1 by quadrature for both tilts"
+        if abs(np.exp(-log_z) * val - 1.0) > 1e-8:
+            return False, f"{kind} normalizer off: {np.exp(-log_z) * val}"
+    return True, "exp(-log Z) * E[exp(r)] = 1 by quadrature for both tilts"
+
+
+def check_tilted_mixture_vs_snis():
+    target = _two_mode_path().target
+    linear, quadratic = LinearReward([0.5, 0.25]), QuadraticReward(0.5)
+    _, lin = oracles.tilted_mixture(target, linear)
+    _, quad = oracles.tilted_mixture(target, quadratic)
+    cases = (("linear E[x0]", linear, lambda x: x[:, 0], lin.weights @ lin.means[:, 0], 41),
+             ("quadratic E[x0^2]", quadratic, lambda x: x[:, 0] ** 2,
+              quad.weights @ (quad.means[:, 0] ** 2 + quad.covariances[:, 0, 0]), 43))
+    details = []
+    for name, reward, h, exact, seed in cases:
+        est = oracles.snis_tilted_expectation(target, reward, h, 200000,
+                                              np.random.default_rng(seed))
+        details.append(f"{name} {exact:.4f} vs SNIS {est.estimate:.4f} +- {est.stderr:.4f}")
+        if not abs(est.estimate - exact) < 3 * est.stderr:
+            return False, details[-1]
+    return True, "; ".join(details)
 
 
 def check_finite_diff():
@@ -560,7 +580,8 @@ SUITES = {
                     check_refinement_example, check_var_model,
                     check_lognormal_consistency],
     "oracles": [check_snis_linear, check_snis_quadratic, check_closed_form_examples,
-                check_normalizer_consistency, check_finite_diff],
+                check_normalizer_consistency, check_tilted_mixture_vs_snis,
+                check_finite_diff],
 }
 
 

@@ -191,6 +191,13 @@ VALUES_READ_MID_RUN = {
         d["reward"].update(kind="quadratic", params={"gamma": 1.0})),
     "quadratic-gamma-nan": lambda d: d["reward"].update(
         kind="quadratic", params={"gamma": float("nan")}),
+    # exp(-gamma x^2 / 2) with 1 + gamma var <= 0 for some component: no normalizer.
+    "improper-tilt-gaussian": lambda d: d["reward"].update(
+        kind="quadratic", params={"gamma": -1.5}),
+    "improper-tilt-two-components": lambda d: (
+        d["problem"].update(target={"weights": [0.5, 0.5], "means": [[-1.0], [1.0]],
+                                    "covariances": [[[1.0]], [[0.5]]]}),
+        d["reward"].update(kind="quadratic", params={"gamma": -1.5})),
 }
 
 
@@ -213,6 +220,8 @@ def test_cli_value_read_mid_run_exits_2_before_running(tmp_path, capsys):
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ConfigError", name
         assert name != "hutchinson-probes-0" or "m_probes" in err["message"]
+        assert not str(name).startswith("improper-tilt") or err["message"].startswith(
+            "reward.params.gamma:")
         assert not out.exists(), name
 
 
@@ -382,6 +391,54 @@ def test_cli_sample_outputs(tmp_path):
     assert summary["oracle"]["oracle_mean"] == pytest.approx(0.5)
     assert abs(summary["tilted_mean"][0] - 0.5) < 0.5
     assert (out / "config_resolved.yaml").exists()
+
+
+TWO_MODE_SAMPLE = """
+seed: 3
+problem:
+  base: {standard_normal_dim: 2}
+  target:
+    weights: [0.5, 0.5]
+    means: [[-2.0, 0.0], [2.0, 0.0]]
+    covariances: [[[0.25, 0.0], [0.0, 0.25]], [[0.25, 0.0], [0.0, 0.25]]]
+schedule:
+  eta_offset: 0.05
+run:
+  n_particles: 16
+  n_steps: 5
+  weight_scheme: ito
+  resampling: {kind: never}
+reward:
+  mode: naive
+diagnostics:
+  enabled: false
+"""
+
+
+def test_cli_sample_oracle_closed_form_in_2d(tmp_path):
+    # The linear tilt a = (0.5, 0.25) moves each mode by Sigma a = (0.125,
+    # 0.0625) and weighs it by exp(+-1): E[x_0] = 2 tanh(1) + 0.125 and
+    # log Z = log cosh(1) + a^T Sigma a / 2.
+    raw = yaml.safe_load(TWO_MODE_SAMPLE)
+    raw["reward"].update(kind="linear", params={"coeffs": [0.5, 0.25]})
+    out = tmp_path / "out"
+    assert main(["sample", "--config", _write(tmp_path, yaml.safe_dump(raw)),
+                 "--out", str(out)]) == 0
+    oracle = json.loads((out / "summary.json").read_text())["oracle"]
+    assert oracle["kind"] == "closed_form" and oracle["oracle_stderr"] == 0.0
+    assert oracle["oracle_mean"] == pytest.approx(2 * np.tanh(1.0) + 0.125, rel=1e-12)
+    assert oracle["log_z"] == pytest.approx(np.log(np.cosh(1.0)) + 0.0390625, rel=1e-12)
+
+
+def test_cli_sample_oracle_snis_without_closed_form(tmp_path):
+    raw = yaml.safe_load(TWO_MODE_SAMPLE)
+    raw["reward"].update(kind="log_responsibility", params={"component": 1, "scale": 0.5})
+    out = tmp_path / "out"
+    assert main(["sample", "--config", _write(tmp_path, yaml.safe_dump(raw)),
+                 "--out", str(out)]) == 0
+    oracle = json.loads((out / "summary.json").read_text())["oracle"]
+    assert oracle["kind"] == "snis" and oracle["oracle_stderr"] > 0.0
+    assert "log_z" not in oracle
 
 
 def test_cli_paper_literal_flag_is_the_run_setting(tmp_path):

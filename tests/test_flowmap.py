@@ -95,6 +95,21 @@ def test_k_step_euler_and_heun_examples():
     assert ev.k_step_map(0.0, 1.0, np.array([1.0]), 1, "heun")[0] == pytest.approx(0.5, abs=1e-14)
 
 
+@pytest.mark.parametrize("k", [0, 2.5, 2.0, True, "2"])
+def test_k_step_count_must_be_an_integer_of_at_least_one(k):
+    ev = FlowMapEvaluator(std_path())
+    with pytest.raises(ValueError, match="k must be"):
+        ev.k_step_map(0.0, 1.0, np.array([1.0]), k)
+    with pytest.raises(ValueError, match="k must be"):
+        ev.k_step_map_jacobian(0.0, 1.0, np.array([1.0]), k)
+
+
+def test_k_step_count_may_be_a_numpy_integer():
+    ev = FlowMapEvaluator(std_path())
+    x = np.array([1.0])
+    assert np.array_equal(ev.k_step_map(0.0, 1.0, x, np.int64(4)), ev.k_step_map(0.0, 1.0, x, 4))
+
+
 def test_k_step_converges_to_flow_map():
     ev = FlowMapEvaluator(std_path(), rel_tol=1e-10, abs_tol=1e-12)
     exact = ev.flow_map(0.0, 1.0, np.array([1.0]))[0]

@@ -169,10 +169,12 @@ def test_k_step_mode_error_decreases_with_k():
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
         TimeDependentReward(ZeroReward(), "psychic", std_path())
-    for k, scheme in ((0, "euler"), (4, "rk4")):
+    for k, scheme in ((0, "euler"), (2.5, "euler"), (True, "euler"), ("2", "euler"),
+                      (4, "rk4")):
         with pytest.raises(ValueError):
             TimeDependentReward(ZeroReward(), "flowmap_ksteps", std_path(), k=k,
                                 k_scheme=scheme)
+    TimeDependentReward(ZeroReward(), "flowmap_ksteps", std_path(), k=np.int64(2))
 
 
 def test_flow_of_another_path_rejected():
