@@ -33,6 +33,11 @@ Both compute the same outputs:
   local_tilt, seed 7: naive and denoiser laplacian runs (n = 512, K = 8,
   10 probes) and a denoiser expectation run (n = 1024, K = 8, 10 samples),
   each with its final positions and log-weights and log Z history;
+- the two value-only runs of a step reward r = log 4 * [x_0 > 0] known by
+  its values only (a `CustomReward` without `grad_fn`) on the same target
+  (n = 16, K = 8, seed 7): epsilon zero with flowmap_exact simplified
+  weights, and chi base with naive expectation weights (4 samples), each
+  with its final positions and log-weights and log Z history;
 - one searching run per look-ahead mode on the same target (n = 16, 2
   clones, K = 8, top-n selection every 2 steps, tilted_score chi, ito
   weights, seed 7), with its final positions and log-weights: the record
@@ -84,6 +89,10 @@ GRID_CHIS = ("default", "local_tilt", "base", "tilted_score")
 # whose samples span several stacked look-ahead calls.
 CHUNK_RUNS = (("naive", "laplacian", 512, 10), ("denoiser", "laplacian", 512, 10),
               ("denoiser", "expectation", 1024, 10))
+# (epsilon, look-ahead mode, weight scheme, chi) of the runs that read no
+# grad r_t, so that a value-only reward runs in them.
+VALUE_ONLY_RUNS = (("zero", "flowmap_exact", "simplified", "default"),
+                   ("one_minus_t", "naive", "expectation", "base"))
 INFORMATIONAL = "config_resolved.yaml"
 NAMES = "public_names"
 
@@ -195,6 +204,18 @@ def dump(out: str) -> None:
                              seed=7, **samples)
         res = fmtt.run(cfg, path, rt)
         key = f"chunks/{mode}/{scheme}"
+        arrays[f"{key}/positions"] = res.ensemble.positions
+        arrays[f"{key}/logweights"] = res.ensemble.logweights
+        arrays[f"{key}/log_z_history"] = res.log_z_history
+
+    step = fmtt.CustomReward(lambda x: np.log(4.0) * (x[:, 0] > 0))
+    for epsilon, mode, scheme, chi in VALUE_ONLY_RUNS:
+        value_path = fmtt.MixturePath(path.base, target,
+                                      fmtt.InterpolantSchedule.linear(epsilon, eta_offset=0.05))
+        cfg = fmtt.RunConfig(n_particles=16, n_steps=8, chi=chi, weight_scheme=scheme,
+                             expectation_samples=4, seed=7)
+        res = fmtt.run(cfg, value_path, fmtt.TimeDependentReward(step, mode, value_path))
+        key = f"value_only/{epsilon}/{mode}/{scheme}/{chi}"
         arrays[f"{key}/positions"] = res.ensemble.positions
         arrays[f"{key}/logweights"] = res.ensemble.logweights
         arrays[f"{key}/log_z_history"] = res.log_z_history

@@ -182,7 +182,11 @@ def _drive(args) -> int:
     if cfg.run.mode != mode:
         raise ConfigError(f"{args.command} command requires mode: {mode}")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make the output directory {out}: "
+                          f"{exc.strerror or exc}") from exc
     (out / "config_resolved.yaml").write_text(cfg.resolved_yaml())
     summary = {"command": args.command, "seed": cfg.run.seed, **body(cfg, out)}
     (out / "summary.json").write_text(json.dumps(summary, indent=2))

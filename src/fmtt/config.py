@@ -100,13 +100,19 @@ class ExperimentConfig:
 
     @classmethod
     def from_yaml(cls, text: str, seed_override: int | None = None) -> "ExperimentConfig":
-        raw = yaml.safe_load(text)
+        try:
+            raw = yaml.safe_load(text)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"config is not valid YAML: {exc}") from exc
         _check_keys(raw, {*DEFAULTS, "problem", "run", "seed"}, "config root")
 
         problem = raw.get("problem", {})
         _check_keys(problem, {"base", "target"}, "problem")
         base = _mixture_from_block(problem.get("base", "standard_normal"), "problem.base")
         target = _mixture_from_block(problem.get("target", "standard_normal"), "problem.target")
+        if base.dim != target.dim:
+            raise ConfigError(f"problem.base has dimension {base.dim} and problem.target "
+                              f"dimension {target.dim}; they must agree")
 
         block = raw.get("schedule", {})
         spec = DEFAULTS["schedule"]
@@ -142,8 +148,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str, seed_override: int | None = None) -> "ExperimentConfig":
-        with open(path) as fh:
-            return cls.from_yaml(fh.read(), seed_override)
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from exc
+        return cls.from_yaml(text, seed_override)
 
     def resolved_yaml(self) -> str:
         """Fully resolved snapshot written next to run outputs; parsing it

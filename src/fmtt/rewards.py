@@ -18,13 +18,19 @@ from .mixtures import GaussianMixture, MixturePath, _rows
 
 
 class Reward:
-    """Scalar reward with an analytic gradient; batched over (n, d) inputs."""
+    """Scalar reward, batched over (n, d) inputs, with an analytic gradient
+    where its class defines `grad`; one without it is value-only."""
 
     def value(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    @property
+    def has_grad(self) -> bool:
+        """Whether `grad` answers: true where the class defines it."""
+        return type(self).grad is not Reward.grad
 
     def value_and_grad(self, x: np.ndarray):
         """(r(x), grad r(x)); a reward overrides it to share work between them."""
@@ -107,27 +113,36 @@ class ZeroReward(Reward):
         return np.zeros_like(np.atleast_2d(x), dtype=float)
 
 
+def _shaped(out, shape: tuple[int, ...], name: str, x: np.ndarray) -> np.ndarray:
+    """out as a float array, raising ValueError unless it has the shape."""
+    out = np.asarray(out, dtype=float)
+    if out.shape != shape:
+        raise ValueError(f"CustomReward.{name} returned shape {out.shape} for states of "
+                         f"shape {x.shape}; expected {shape}")
+    return out
+
+
 @dataclass(frozen=True)
 class CustomReward(Reward):
-    """Arbitrary scalar field; gradient falls back to central differences."""
+    """Arbitrary scalar field fn, (n, d) -> (n,), with its gradient grad_fn,
+    (n, d) -> (n, d); without grad_fn it is value-only."""
 
     fn: Callable[[np.ndarray], np.ndarray]
     grad_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    fd_step: float = 1e-6
+
+    @property
+    def has_grad(self) -> bool:
+        return self.grad_fn is not None
 
     def value(self, x):
-        return np.asarray(self.fn(np.atleast_2d(x)), dtype=float)
+        x2 = np.atleast_2d(x)
+        return _shaped(self.fn(x2), x2.shape[:1], "fn", x2)
 
     def grad(self, x):
+        if self.grad_fn is None:
+            raise ValueError("this CustomReward is value-only: it has no grad_fn")
         x2 = np.atleast_2d(x)
-        if self.grad_fn is not None:
-            return np.asarray(self.grad_fn(x2), dtype=float)
-        g = np.empty_like(x2)
-        for i in range(x2.shape[1]):
-            e = np.zeros(x2.shape[1])
-            e[i] = self.fd_step
-            g[:, i] = (self.value(x2 + e) - self.value(x2 - e)) / (2 * self.fd_step)
-        return g
+        return _shaped(self.grad_fn(x2), x2.shape, "grad_fn", x2)
 
 
 MODES = ("naive", "denoiser", "flowmap_exact", "flowmap_ksteps")

@@ -21,7 +21,7 @@ from .errors import (ConfigError, DegenerateEnsembleError, ScheduleDomainError,
                      SchemeCompatibilityError)
 from .mixtures import MixturePath, _logsumexp
 from .rewards import TimeDependentReward, _check_hutchinson
-from .schedule import CHI_CHOICES
+from .schedule import CHI_CHOICES, InterpolantSchedule
 from .tilt import (WEIGHT_SCHEMES, StepInput, _ito_coefficient, position_step,
                    weight_step_expectation, weight_step_ito, weight_step_laplacian,
                    weight_step_simplified)
@@ -264,11 +264,19 @@ class RunConfig:
             return np.linspace(0.0, 1.0, self.n_steps + 1)
         return np.array(self.schedule_times)
 
+    def reads_grad(self, schedule: InterpolantSchedule, t: float) -> bool:
+        """Whether the run reads grad r_t at knot t: the laplacian and ito
+        weights always do, and the position step does where its coefficient
+        chi + epsilon is nonzero."""
+        return (self.weight_scheme in ("laplacian", "ito")
+                or schedule.chi(self.chi, t) + schedule.epsilon(t) != 0.0)
+
     def check(self, path: MixturePath, rt: TimeDependentReward) -> None:
         """Check the settings against the problem: the reward must read the
-        run's path, simplified weights need a flow-map reward, and at every
-        knot epsilon (ValueError where negative), chi and the ito coefficient
-        must be defined."""
+        run's path, simplified weights need a flow-map reward, at every knot
+        epsilon (ValueError where negative), chi and the ito coefficient must
+        be defined, and a value-only reward is refused at every knot where
+        the run reads grad r_t."""
         if rt.path is not None and rt.path is not path:
             raise ConfigError("the reward's look-ahead reads another path than the run's")
         if self.weight_scheme == "simplified" and not rt.is_flowmap():
@@ -282,6 +290,12 @@ class RunConfig:
                     _ito_coefficient(c, eps, t)
             except (ScheduleDomainError, SchemeCompatibilityError) as exc:
                 raise ConfigError(f"run.chi {self.chi}: {exc}") from exc
+            if not rt.base.has_grad and self.reads_grad(schedule, t):
+                raise ConfigError(
+                    f"run.weight_scheme {self.weight_scheme} with run.chi {self.chi} reads "
+                    f"grad r_t at t={t:.6g}, and the reward is value-only (no gradient); "
+                    "a value-only reward runs with simplified or expectation weights "
+                    "where chi + epsilon = 0 at every knot")
 
 
 @dataclass
@@ -341,18 +355,11 @@ def run(cfg: RunConfig, path: MixturePath, rt: TimeDependentReward) -> RunResult
     n, c = cfg.n_particles, cfg.clones
     total = n * c
     d = path.dim
-    grad_weights = cfg.weight_scheme in ("laplacian", "ito")
-
-    def lookahead(t: float, x: np.ndarray):
-        # grad r_t is read by the position step where its coefficient
-        # chi + eps is nonzero, and by the laplacian and ito weights.
-        grad = grad_weights or sched.chi(chi, t) + sched.epsilon(t) != 0.0
-        return rt.lookahead_value_and_grad(t, x, grad)
 
     init_rng = _step_rng(cfg.seed, 0, 0)
     x0 = path.base.sample(n, init_rng)
     ens = ParticleEnsemble(np.repeat(x0, c, axis=0), np.zeros(total), n, c)
-    look = lookahead(ts[0], ens.positions)
+    look = rt.lookahead_value_and_grad(ts[0], ens.positions, cfg.reads_grad(sched, ts[0]))
 
     K = cfg.n_steps
     ess_hist = np.empty(K)
@@ -373,7 +380,7 @@ def run(cfg: RunConfig, path: MixturePath, rt: TimeDependentReward) -> RunResult
         inp = StepInput(ens.positions, ens.logweights, t, t_next, noise,
                         look, path.dynamics(t, ens.positions))
         x_next = position_step(inp, chi, path)
-        look = lookahead(t_next, x_next)
+        look = rt.lookahead_value_and_grad(t_next, x_next, cfg.reads_grad(sched, t_next))
 
         if cfg.weight_scheme == "simplified":
             a_next = weight_step_simplified(inp, rt)

@@ -513,12 +513,40 @@ def test_cli_diagnose_and_refine(tmp_path):
     assert (out2 / "refined_schedule.yaml").exists()
 
 
-def test_cli_bad_config_json_error(tmp_path, capsys):
-    cfg = _write(tmp_path, FAST_SAMPLE + "\nunknown_root_key: 1\n")
-    code = main(["sample", "--config", cfg, "--out", str(tmp_path / "o")])
+def _bad_config_args(case, tmp_path):
+    """(--config, --out) of a refused config command."""
+    out = tmp_path / "o"
+    if case == "unknown-root-key":
+        return _write(tmp_path, FAST_SAMPLE + "\nunknown_root_key: 1\n"), out
+    if case == "missing-file":
+        return str(tmp_path / "missing.yaml"), out
+    if case == "directory":
+        (tmp_path / "cfg").mkdir()
+        return str(tmp_path / "cfg"), out
+    if case == "malformed-yaml":
+        return _write(tmp_path, "run: [1, 2\n"), out
+    out.write_text("a file")
+    return _write(tmp_path, FAST_SAMPLE), out
+
+
+@pytest.mark.parametrize("case", ["unknown-root-key", "missing-file", "directory",
+                                  "malformed-yaml", "out-is-a-file"])
+def test_cli_bad_config_json_error(tmp_path, capsys, case):
+    cfg, out = _bad_config_args(case, tmp_path)
+    code = main(["sample", "--config", cfg, "--out", str(out)])
     assert code == 2
-    err = json.loads(capsys.readouterr().err.strip())
-    assert err["error"] == "ConfigError"
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ConfigError"
+    assert not out.is_dir()
+
+
+def test_dimension_mismatch_names_both_blocks():
+    with pytest.raises(ConfigError) as info:
+        ExperimentConfig.from_yaml("problem: {target: {standard_normal_dim: 2}}")
+    message = str(info.value)
+    assert "problem.base has dimension 1" in message
+    assert "problem.target dimension 2" in message
 
 
 def test_cli_verify_only_suite(capsys):

@@ -59,15 +59,47 @@ def test_value_and_grad_is_value_and_grad_bitwise():
         assert np.array_equal(grad, r.grad(x))
 
 
-def test_custom_reward_central_difference_gradient():
+def test_custom_reward_without_grad_fn_is_value_only():
     quad = QuadraticReward(0.7)
-    custom = CustomReward(quad.value)
     x = np.random.default_rng(4).normal(size=(5, 3))
-    assert np.allclose(custom.grad(x), quad.grad(x), rtol=0.0, atol=1e-8)
+    custom = CustomReward(quad.value)
+    assert not custom.has_grad
+    assert np.array_equal(custom.value(x), quad.value(x))
+    for call in (custom.grad, custom.value_and_grad):
+        with pytest.raises(ValueError, match="grad_fn"):
+            call(x)
     target = GaussianMixture.isotropic([0.3, 0.7], [[-1.0, 0.5, 0.0], [1.5, 0.0, -1.0]], 0.4)
-    path = MixturePath(standard_normal(3), target)
-    lookahead = [TimeDependentReward(r, "denoiser", path).grad(0.6, x) for r in (custom, quad)]
-    assert np.allclose(*lookahead, rtol=0.0, atol=1e-8)
+    rt = TimeDependentReward(custom, "denoiser", MixturePath(standard_normal(3), target))
+    with pytest.raises(ValueError, match="grad_fn"):
+        rt.grad(0.6, x)
+    assert np.array_equal(rt.value(0.6, x),
+                          TimeDependentReward(quad, "denoiser", rt.path).value(0.6, x))
+
+
+def test_has_grad_is_computed_and_cannot_be_set():
+    for reward in _rewards_in(2):
+        assert reward.has_grad, reward
+        with pytest.raises(AttributeError):
+            reward.has_grad = False
+    custom = CustomReward(QuadraticReward(0.7).value)
+    assert not custom.has_grad
+    with pytest.raises(AttributeError):
+        custom.has_grad = True
+
+
+@pytest.mark.parametrize("fn,grad_fn,call,got", [
+    (lambda x: x, None, "value", (4, 1)),
+    (lambda x: x[:, 0], lambda x: x[:, 0], "grad", (4,)),
+    (lambda x: x[:, 0], lambda x: np.ones((4, 2)), "grad", (4, 2)),
+], ids=["fn-column", "grad_fn-vector", "grad_fn-wide"])
+def test_custom_reward_refuses_misshapen_outputs(fn, grad_fn, call, got):
+    x = np.zeros((4, 1))
+    name = "fn" if call == "value" else "grad_fn"
+    want = (4,) if call == "value" else (4, 1)
+    with pytest.raises(ValueError) as info:
+        getattr(CustomReward(fn, grad_fn), call)(x)
+    assert f"CustomReward.{name} returned shape {got}" in str(info.value)
+    assert f"expected {want}" in str(info.value)
 
 
 def test_log_responsibility_component_range():
@@ -328,7 +360,7 @@ def _rewards_in(d):
                          np.broadcast_to(0.3 * np.eye(d), (16, d, d)))
     quad = QuadraticReward(0.7)
     return [LinearReward(rng.normal(size=d)), quad, LogResponsibilityReward(gm, 3, 0.4),
-            ZeroReward(), CustomReward(quad.value), CustomReward(quad.value, quad.grad)]
+            ZeroReward(), CustomReward(quad.value, quad.grad)]
 
 
 @pytest.mark.parametrize("d", [1, 2, 8])

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 import fmtt.smc
-from fmtt import (ConfigError, DegenerateEnsembleError, FlowMapEvaluator,
+from fmtt import (ConfigError, CustomReward, DegenerateEnsembleError, FlowMapEvaluator,
                   GaussianMixture, InterpolantSchedule, LinearReward,
                   LogResponsibilityReward, MixturePath,
                   ParticleEnsemble, RunConfig, RunResult, StepInput,
                   TimeDependentReward, ZeroReward, ess, position_step, resample,
                   run, standard_normal, top_n_select, weight_step_ito,
                   weight_step_laplacian, weighted_expectation)
+from fmtt.schedule import CHI_CHOICES
 from fmtt.smc import _step_rng
+from fmtt.tilt import WEIGHT_SCHEMES
 
 
 def std_path():
@@ -335,15 +337,18 @@ class CountingFlow(FlowMapEvaluator):
 
 
 class CountingReward(TimeDependentReward):
-    """Counts look-ahead evaluations and finite-difference time derivatives."""
+    """Counts look-ahead evaluations, those among them with grad r_t, and
+    finite-difference time derivatives."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.lookaheads = 0
+        self.grad_lookaheads = 0
         self.time_derivatives = 0
 
     def lookahead_value_and_grad(self, t, x, grad=True):
         self.lookaheads += 1
+        self.grad_lookaheads += grad
         return super().lookahead_value_and_grad(t, x, grad)
 
     def time_derivative(self, t, x, h=1e-4):
@@ -475,3 +480,121 @@ def test_record_without_grad_is_refused_not_recomputed(step):
             chi = "tilted_score" if step == "ito-next" else "default"
             weight_step_ito(inp, chi, rt, path, look_next)
     assert rt.lookaheads == 0
+
+
+def step_reward(x):
+    """log 4 * [x_0 > 0]: on the two-mode target the tilted mass of x_0 > 0
+    is 0.8 and log Z = log 2.5, up to the modes' tails across 0 (Phi(-4))."""
+    return np.log(4.0) * (x[:, 0] > 0)
+
+
+# Every (epsilon, weight scheme, chi) that a run accepts: simplified weights
+# take chi default only, and ito weights with chi tilted_score need
+# epsilon > 0 where chi != 0, which epsilon zero is not.
+SETTINGS = [(epsilon, scheme, chi) for epsilon in ("one_minus_t", "zero")
+            for scheme in WEIGHT_SCHEMES
+            for chi in (("default",) if scheme == "simplified" else CHI_CHOICES)
+            if (epsilon, scheme, chi) != ("zero", "ito", "tilted_score")]
+# The settings that read no grad r_t: simplified or expectation weights
+# with chi + epsilon = 0 at every knot.
+VALUE_ONLY_SETTINGS = {("one_minus_t", "expectation", "base"), ("zero", "simplified", "default"),
+                       ("zero", "expectation", "default"), ("zero", "expectation", "local_tilt"),
+                       ("zero", "expectation", "base")}
+
+
+def setting(epsilon, scheme, chi, base_reward, cls=TimeDependentReward, **run):
+    """The run config, path and look-ahead of one setting on the two-mode
+    target: a flow-map look-ahead for simplified weights, naive otherwise."""
+    target = GaussianMixture.isotropic([0.5, 0.5], [[-2.0, 0.0], [2.0, 0.0]], 0.25)
+    path = MixturePath(standard_normal(2), target,
+                       InterpolantSchedule.linear(epsilon, eta_offset=0.05))
+    mode = "flowmap_exact" if scheme == "simplified" else "naive"
+    cfg = RunConfig(chi=chi, weight_scheme=scheme, **{
+        "n_particles": 8, "n_steps": 6, "expectation_samples": 4,
+        "hutchinson": {"probes": 4}, "seed": 3, **run})
+    return cfg, path, cls(base_reward, mode, path)
+
+
+@pytest.mark.parametrize("epsilon,scheme,chi", SETTINGS, ids=map("-".join, SETTINGS))
+def test_value_only_reward_runs_exactly_where_no_grad_is_read(epsilon, scheme, chi):
+    cfg, path, rt = setting(epsilon, scheme, chi, CustomReward(step_reward), CountingReward)
+    if (epsilon, scheme, chi) in VALUE_ONLY_SETTINGS:
+        cfg.check(path, rt)
+        assert np.isfinite(run(cfg, path, rt).log_z())
+        assert rt.lookaheads > 0 and rt.grad_lookaheads == 0
+        return
+    first = next(t for t in cfg.times() if cfg.reads_grad(path.schedule, t))
+    for call in (cfg.check, lambda path, rt: run(cfg, path, rt)):
+        with pytest.raises(ConfigError) as info:
+            call(path, rt)
+        message = str(info.value)
+        for part in (f"run.weight_scheme {scheme}", f"run.chi {chi}", f"t={first:.6g}",
+                     "simplified or expectation weights",
+                     "chi + epsilon = 0 at every knot"):
+            assert part in message
+    assert rt.lookaheads == 0
+
+
+class RecordingReward(TimeDependentReward):
+    """Records, for each look-ahead record that `run` builds, its t and
+    whether it carries grad r_t; the evaluations that the weight steps make
+    through `value`, `grad` and `time_derivative` are not records."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.records = []
+        self._inner = False
+
+    def lookahead_value_and_grad(self, t, x, grad=True):
+        look = super().lookahead_value_and_grad(t, x, grad)
+        if not self._inner:
+            self.records.append((t, look.grad is not None))
+        return look
+
+    def _unrecorded(self, method, t, x):
+        self._inner = True
+        try:
+            return method(t, x)
+        finally:
+            self._inner = False
+
+    def value(self, t, x):
+        return self._unrecorded(super().value, t, x)
+
+    def grad(self, t, x):
+        return self._unrecorded(super().grad, t, x)
+
+
+@pytest.mark.parametrize("epsilon,scheme,chi", SETTINGS, ids=map("-".join, SETTINGS))
+def test_records_carry_grad_exactly_where_the_run_reads_it(epsilon, scheme, chi):
+    reward = CustomReward(step_reward, lambda x: np.zeros_like(x))
+    cfg, path, rt = setting(epsilon, scheme, chi, reward, RecordingReward,
+                            resampling={"kind": "every", "r": 2})
+    run(cfg, path, rt)
+    assert rt.records == [(t, cfg.reads_grad(path.schedule, t)) for t in cfg.times()]
+
+
+@pytest.mark.parametrize("epsilon,scheme,chi", [("zero", "simplified", "default"),
+                                                ("one_minus_t", "expectation", "base")],
+                         ids=["zero-simplified", "one_minus_t-expectation-base"])
+def test_value_only_step_reward_matches_its_oracle(epsilon, scheme, chi):
+    # n = 128, K = 50, seeds 0-7: log Z against log 2.5 and the tilted mass
+    # of x_0 > 0 against 0.8, as z-scores over the seeds.
+    log_z, mass = [], []
+    for seed in range(8):
+        cfg, path, rt = setting(epsilon, scheme, chi, CustomReward(step_reward),
+                                n_particles=128, n_steps=50, expectation_samples=16,
+                                seed=seed)
+        res = run(cfg, path, rt)
+        log_z.append(res.log_z())
+        mass.append(weighted_expectation(res.ensemble, lambda x: (x[:, 0] > 0) * 1.0))
+    for values, oracle in ((log_z, np.log(2.5)), (mass, 0.8)):
+        z = (np.mean(values) - oracle) / (np.std(values, ddof=1) / np.sqrt(len(values)))
+        assert abs(z) <= 3, (values, oracle)
+
+
+def test_misshapen_custom_reward_is_refused_at_the_first_lookahead():
+    path = std_path()
+    rt = TimeDependentReward(CustomReward(lambda x: x, lambda x: x), "naive", path)
+    with pytest.raises(ValueError, match=r"CustomReward\.fn returned shape \(4, 1\)"):
+        run(RunConfig(n_particles=4, n_steps=4, weight_scheme="ito"), path, rt)
