@@ -21,18 +21,18 @@ Both compute the same outputs:
 - the final positions and log-weights of the exact-small and naive-wide
   benchmark workloads (built by `perfbench/workloads.py` of this tree) at
   seeds 7 and 11;
-- a grid of short SMC runs (n = 16, K = 8, 4 Hutchinson probes, 4
-  expectation samples, seed 7) on the 2-D two-mode target: every look-ahead
-  mode x {simplified (flow-map modes only), laplacian, ito, expectation}
-  weights x chi in {default, local_tilt, base, tilted_score} (simplified:
-  default only), each with its final positions and log-weights, log Z
-  history and log-moments;
-- runs whose Hutchinson probes or expectation samples span several
-  stacked look-ahead calls (chunks of 4, 4 and 2 at the bound of 8,192
-  elements, `fmtt.rewards.STACK_ELEMENTS`) on the same target, chi
-  local_tilt, seed 7: naive and denoiser laplacian runs (n = 512, K = 8,
-  10 probes) and a denoiser expectation run (n = 1024, K = 8, 10 samples),
-  each with its final positions and log-weights and log Z history;
+- a grid of short SMC runs (n = 16, K = 8, 4 expectation samples, seed 7)
+  on the 2-D two-mode target: every look-ahead mode x {simplified (flow-map
+  modes only), laplacian, ito, expectation} weights x chi in {default,
+  local_tilt, base, tilted_score} (simplified: default only), each with its
+  final positions and log-weights, log Z history and log-moments;
+- runs whose Laplacian stencil or expectation samples span several stacked
+  look-ahead calls (at the bound of 8,192 elements,
+  `fmtt.rewards.STACK_ELEMENTS`), chi local_tilt, K = 8, seed 7, each with
+  its final positions and log-weights and log Z history: a denoiser
+  expectation run on the same target (n = 1024, 10 samples in chunks of 4,
+  4 and 2) and a naive laplacian run on the naive-wide benchmark's d = 8
+  target (n = 512, one coordinate of the stencil per call);
 - the two value-only runs of a step reward r = log 4 * [x_0 > 0] known by
   its values only (a `CustomReward` without `grad_fn`) on the same target
   (n = 16, K = 8, seed 7): epsilon zero with flowmap_exact simplified
@@ -85,10 +85,6 @@ KERNEL_TIMES = (0.0, 0.37, 1.0)
 GRID_MODES = ("naive", "denoiser", "flowmap_ksteps", "flowmap_exact")
 GRID_SCHEMES = ("simplified", "laplacian", "ito", "expectation")
 GRID_CHIS = ("default", "local_tilt", "base", "tilted_score")
-# (look-ahead mode, weight scheme, particles, probes or samples) of the runs
-# whose samples span several stacked look-ahead calls.
-CHUNK_RUNS = (("naive", "laplacian", 512, 10), ("denoiser", "laplacian", 512, 10),
-              ("denoiser", "expectation", 1024, 10))
 # (epsilon, look-ahead mode, weight scheme, chi) of the runs that read no
 # grad r_t, so that a value-only reward runs in them.
 VALUE_ONLY_RUNS = (("zero", "flowmap_exact", "simplified", "default"),
@@ -181,8 +177,7 @@ def dump(out: str) -> None:
                 continue
             for chi in ("default",) if scheme == "simplified" else GRID_CHIS:
                 cfg = fmtt.RunConfig(n_particles=16, n_steps=8, chi=chi, weight_scheme=scheme,
-                                     expectation_samples=4, seed=7,
-                                     hutchinson={"probes": 4})
+                                     expectation_samples=4, seed=7)
                 res = fmtt.run(cfg, path, rt)
                 key = f"grid/{mode}/{scheme}/{chi}"
                 arrays[f"{key}/positions"] = res.ensemble.positions
@@ -196,17 +191,12 @@ def dump(out: str) -> None:
         arrays[f"search/{mode}/positions"] = res.ensemble.positions
         arrays[f"search/{mode}/logweights"] = res.ensemble.logweights
 
-    for mode, scheme, n, m in CHUNK_RUNS:
-        rt = fmtt.TimeDependentReward(reward, mode, path)
-        samples = ({"hutchinson": {"probes": m}} if scheme == "laplacian"
-                   else {"expectation_samples": m})
-        cfg = fmtt.RunConfig(n_particles=n, n_steps=8, chi="local_tilt", weight_scheme=scheme,
-                             seed=7, **samples)
-        res = fmtt.run(cfg, path, rt)
-        key = f"chunks/{mode}/{scheme}"
-        arrays[f"{key}/positions"] = res.ensemble.positions
-        arrays[f"{key}/logweights"] = res.ensemble.logweights
-        arrays[f"{key}/log_z_history"] = res.log_z_history
+    cfg = fmtt.RunConfig(n_particles=1024, n_steps=8, chi="local_tilt",
+                         weight_scheme="expectation", expectation_samples=10, seed=7)
+    res = fmtt.run(cfg, path, fmtt.TimeDependentReward(reward, "denoiser", path))
+    arrays["chunks/denoiser/expectation/positions"] = res.ensemble.positions
+    arrays["chunks/denoiser/expectation/logweights"] = res.ensemble.logweights
+    arrays["chunks/denoiser/expectation/log_z_history"] = res.log_z_history
 
     step = fmtt.CustomReward(lambda x: np.log(4.0) * (x[:, 0] > 0))
     for epsilon, mode, scheme, chi in VALUE_ONLY_RUNS:
@@ -224,6 +214,12 @@ def dump(out: str) -> None:
         ctx = workloads.setup("naive-wide", "full", Path(work))
         arrays.update(kernel_outputs(fmtt, "8d", ctx.path, ctx.rt.base,
                                      np.random.default_rng(6).normal(size=(512, 8))))
+        cfg = fmtt.RunConfig(n_particles=512, n_steps=8, chi="local_tilt",
+                             weight_scheme="laplacian", seed=7)
+        res = fmtt.run(cfg, ctx.path, ctx.rt)
+        arrays["chunks/wide/laplacian/positions"] = res.ensemble.positions
+        arrays["chunks/wide/laplacian/logweights"] = res.ensemble.logweights
+        arrays["chunks/wide/laplacian/log_z_history"] = res.log_z_history
         for name, chi, scheme in (("exact-small", "default", "simplified"),
                                   ("naive-wide", "tilted_score", "ito")):
             ctx = workloads.setup(name, "full", Path(work))

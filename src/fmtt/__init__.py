@@ -31,7 +31,7 @@ from .oracles import (SnisEstimate, finite_diff_grad, snis_tilted_expectation,
                       tilted_mixture)
 from .rewards import (CustomReward, LinearReward, LogResponsibilityReward,
                       Lookahead, QuadraticReward, Reward, TimeDependentReward,
-                      ZeroReward, hutchinson_laplacian)
+                      ZeroReward, coordinate_laplacian, hutchinson_laplacian)
 from .schedule import InterpolantSchedule
 from .smc import (ParticleEnsemble, RunConfig, RunResult, ess, resample, run,
                   top_n_select, weighted_expectation)

@@ -249,38 +249,57 @@ PROBES = ("gaussian", "rademacher")
 STACK_ELEMENTS = 8_192
 
 
+def _check_eps(eps: float, where: str = "") -> None:
+    """Raise ValueError unless eps, the half-width of a Laplacian's
+    central-difference stencil, is > 0."""
+    if not eps > 0:
+        raise ValueError(f"{where}eps must be > 0, got {eps}")
+
+
 def _check_hutchinson(m_probes: int, eps: float, probe: str, where: str = "") -> None:
     """Raise ValueError unless these are valid `hutchinson_laplacian` settings;
     a message names the setting by its key in a config's hutchinson block,
     after the prefix ``where``."""
     _check_count(m_probes, f"{where}probes (m_probes)")
-    if not eps > 0:
-        raise ValueError(f"{where}eps must be > 0, got {eps}")
+    _check_eps(eps, where)
     if probe not in PROBES:
         raise ValueError(f"{where}probe must be one of {PROBES}, got {probe!r}")
 
 
 def _stacked_samples(look: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
                      scales: tuple[float, ...], m: int,
-                     draw: Callable[[tuple[int, int, int]], np.ndarray]):
+                     draw: Callable[[int, tuple[int, int, int]], np.ndarray]):
     """Evaluate ``look`` at the points x + s * z, for each s in ``scales`` and
     m samples z, in one call per chunk of samples.
 
-    Yields, per chunk of k samples, the samples z, drawn as one (k, n, d)
-    array by ``draw``, and look's output on the k * len(scales) * n stacked
-    rows, as a (k, len(scales), n, ...) array.  A chunk holds as many samples
-    as fit in STACK_ELEMENTS elements, and at least one.  Draws of (k, n, d)
-    give the stream of k draws of (n, d), so the samples are those of one
-    draw per sample.
+    Yields, per chunk of k samples, the samples z, the (k, n, d) array
+    ``draw(start, (k, n, d))`` of samples start to start + k, and look's
+    output on the k * len(scales) * n stacked rows, as a (k, len(scales), n,
+    ...) array.  A chunk holds as many samples as fit in STACK_ELEMENTS
+    elements, and at least one.  Random draws of (k, n, d) give the stream of
+    k draws of (n, d), so the samples are those of one draw per sample.
     """
     n, d = x.shape
     s = np.asarray(scales, dtype=float)[:, None, None]
     per_chunk = max(1, STACK_ELEMENTS // (len(scales) * n * d))
     for start in range(0, m, per_chunk):
-        z = draw((min(per_chunk, m - start), n, d))
+        z = draw(start, (min(per_chunk, m - start), n, d))
         points = x + s * z[:, None]
         out = look(points.reshape(-1, d))
         yield z, out.reshape(points.shape[:-1] + out.shape[1:])
+
+
+def _probe_sum(rt: TimeDependentReward, t: float, x2: np.ndarray, eps: float, m: int,
+               draw: Callable[[int, tuple[int, int, int]], np.ndarray]) -> np.ndarray:
+    """Sum over m samples z from ``draw`` of z . [grad r_t(x + eps z) -
+    grad r_t(x - eps z)], with one gradient call per chunk of samples
+    (`_stacked_samples`)."""
+    terms = np.concatenate([
+        np.einsum("kni,kni->kn", z, g[:, 0] - g[:, 1])
+        for z, g in _stacked_samples(lambda y: rt.grad(t, y), x2, (eps, -eps), m, draw)])
+    # cumsum adds the samples one after another, as a loop over them does;
+    # sum() may add them pairwise.
+    return np.cumsum(terms, axis=0)[-1]
 
 
 def hutchinson_laplacian(rt: TimeDependentReward, t: float, x: np.ndarray,
@@ -297,13 +316,28 @@ def hutchinson_laplacian(rt: TimeDependentReward, t: float, x: np.ndarray,
     rng = rng or np.random.default_rng()
     x2 = np.atleast_2d(np.asarray(x, dtype=float))
     if probe == "gaussian":
-        draw = rng.standard_normal
+        def draw(_, shape):
+            return rng.standard_normal(shape)
     else:
-        def draw(shape):
+        def draw(_, shape):
             return rng.integers(0, 2, size=shape) * 2.0 - 1.0
-    terms = np.concatenate([
-        np.einsum("kni,kni->kn", z, g[:, 0] - g[:, 1])
-        for z, g in _stacked_samples(lambda y: rt.grad(t, y), x2, (eps, -eps), m_probes, draw)])
-    # cumsum adds the probes one after another, as a loop over them does;
-    # sum() may add them pairwise.
-    return np.cumsum(terms, axis=0)[-1] / (2.0 * m_probes * eps)
+    return _probe_sum(rt, t, x2, eps, m_probes, draw) / (2.0 * m_probes * eps)
+
+
+def coordinate_laplacian(rt: TimeDependentReward, t: float, x: np.ndarray,
+                         eps: float = 1e-3) -> np.ndarray:
+    """Laplacian of r_t as the exact trace of its central-difference Hessian.
+
+    Sums [d_i r_t(x + eps e_i) - d_i r_t(x - eps e_i)] / (2 eps) over the d
+    coordinates: no Monte Carlo variance, and 2d gradient rows per state, in
+    one call per chunk of basis rows e_i, each shared by every state.  It
+    draws no random numbers.
+    """
+    _check_eps(eps)
+    x2 = np.atleast_2d(np.asarray(x, dtype=float))
+    basis = np.eye(x2.shape[1])
+
+    def draw(start, shape):
+        # e_i . [...] picks d_i r_t out of the gradient rows exactly.
+        return np.broadcast_to(basis[start:start + shape[0], None], shape)
+    return _probe_sum(rt, t, x2, eps, x2.shape[1], draw) / (2.0 * eps)

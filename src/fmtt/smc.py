@@ -212,6 +212,9 @@ class RunConfig:
     resampling: Mapping = field(default_factory=lambda: {"kind": "ess"})
     resample_method: str = "systematic"
     expectation_samples: int = 16
+    # The laplacian weights read eps alone, their exact trace's stencil
+    # half-width; probes and probe are still parsed and checked, so that a
+    # config written for the Hutchinson estimate stays valid, but not read.
     hutchinson: Mapping = field(
         default_factory=lambda: {"probes": 64, "eps": 1e-3, "probe": "gaussian"})
     paper_literal: bool = False
@@ -385,9 +388,7 @@ def run(cfg: RunConfig, path: MixturePath, rt: TimeDependentReward) -> RunResult
         if cfg.weight_scheme == "simplified":
             a_next = weight_step_simplified(inp, rt)
         elif cfg.weight_scheme == "laplacian":
-            h = cfg.hutchinson
-            a_next = weight_step_laplacian(inp, chi, rt, path, h["probes"], h["eps"],
-                                           _step_rng(cfg.seed, k, 2), h["probe"])
+            a_next = weight_step_laplacian(inp, chi, rt, path, cfg.hutchinson["eps"])
         elif cfg.weight_scheme == "ito":
             a_next = weight_step_ito(inp, chi, rt, path, look)
         else:

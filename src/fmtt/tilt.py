@@ -20,7 +20,7 @@ import numpy as np
 from .errors import SchemeCompatibilityError
 from .flowmap import _check_count
 from .mixtures import DynamicsAt, MixturePath, _logsumexp
-from .rewards import Lookahead, TimeDependentReward, _stacked_samples, hutchinson_laplacian
+from .rewards import Lookahead, TimeDependentReward, _stacked_samples, coordinate_laplacian
 
 WEIGHT_SCHEMES = ("simplified", "laplacian", "ito", "expectation")
 
@@ -116,17 +116,16 @@ def _increment(inp: StepInput, c: float, rt: TimeDependentReward,
 
 
 def weight_step_laplacian(inp: StepInput, chi: str, rt: TimeDependentReward,
-                          path: MixturePath, m_probes: int = 64, probe_eps: float = 1e-3,
-                          rng: np.random.Generator | None = None,
-                          probe: str = "gaussian") -> np.ndarray:
-    """Euler log-weight update with a Hutchinson Laplacian correction.
+                          path: MixturePath, eps: float = 1e-3) -> np.ndarray:
+    """Euler log-weight update with a Laplacian correction.
 
     A' = A + dt * [D + chi * (||grad r_t||^2 + lap r_t + grad r_t . s_t)];
-    the Laplacian estimate is skipped entirely when chi = 0.
+    lap r_t is the exact trace `coordinate_laplacian` with stencil half-width
+    eps, 2d gradient rows per state and no random draws, and is skipped
+    entirely when chi = 0.
     """
     c = path.schedule.chi(chi, inp.t)
-    lap = 0.0 if c == 0.0 else hutchinson_laplacian(rt, inp.t, inp.x, m_probes, probe_eps,
-                                                     rng, probe)
+    lap = 0.0 if c == 0.0 else coordinate_laplacian(rt, inp.t, inp.x, eps)
     return inp.logweight + inp.dt * _increment(inp, c, rt, lap)[0]
 
 
@@ -192,7 +191,7 @@ def weight_step_expectation(inp: StepInput, chi: str, rt: TimeDependentReward,
     scale = np.sqrt(2.0 * abs(c) * inp.dt)
     values = [v[:, 0] for _, v in _stacked_samples(lambda y: rt.value(inp.t_next, y),
                                                    mean_drifted, (scale,), m_samples,
-                                                   rng.standard_normal)]
+                                                   lambda _, shape: rng.standard_normal(shape))]
     deltas = np.concatenate(values) - r_here
     log_g = _logsumexp(deltas) - np.log(m_samples)
     tail = np.exp(log_g) if paper_literal else log_g

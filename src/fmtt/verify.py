@@ -16,7 +16,8 @@ from .errors import DiagnosticsUndefinedError, ScheduleDomainError
 from .flowmap import FlowMapEvaluator, gaussian_pair_closed_form
 from .mixtures import GaussianMixture, MixturePath, standard_normal
 from .rewards import (CustomReward, LinearReward, QuadraticReward,
-                      TimeDependentReward, ZeroReward, hutchinson_laplacian)
+                      TimeDependentReward, ZeroReward, coordinate_laplacian,
+                      hutchinson_laplacian)
 from .schedule import InterpolantSchedule
 from .smc import (ParticleEnsemble, RunConfig, ess, resample, run,
                   top_n_select, weighted_expectation)
@@ -266,6 +267,27 @@ def check_hutchinson():
                                 np.random.default_rng(6))
     ok = abs(est[0] + 2.0) < 0.2 and abs(zero[0]) < 1e-6
     return ok, f"quadratic Laplacian {est[0]:.3f} (target -2), linear {zero[0]:.1e}"
+
+
+def check_coordinate_laplacian():
+    worst = 0.0
+    for d in (1, 2, 8):
+        rt = TimeDependentReward(QuadraticReward(0.7), "naive", _std_path(d))
+        x = np.random.default_rng(d).normal(size=(16, d))
+        worst = max(worst, float(np.max(np.abs(coordinate_laplacian(rt, 0.6, x) + 0.6 * 0.7 * d))))
+    # Between single Gaussians X_{t,1}(x) = mu(1) + A (x - mu(t)), so the
+    # Laplacian of r_t = -t gamma ||X_{t,1}||^2 / 2 is -t gamma ||A||_F^2.
+    target = GaussianMixture(np.ones(1), np.array([[1.0, -0.5]]), np.diag([0.5, 2.0])[None])
+    path = MixturePath(standard_normal(2), target)
+    rt = TimeDependentReward(QuadraticReward(0.7), "flowmap_exact", path,
+                             FlowMapEvaluator(path, rel_tol=1e-10, abs_tol=1e-12))
+    a = (gaussian_pair_closed_form(path, 0.4, 1.0, np.eye(2))
+         - gaussian_pair_closed_form(path, 0.4, 1.0, np.zeros(2)))
+    est = coordinate_laplacian(rt, 0.4, np.random.default_rng(3).normal(size=(4, 2)))
+    flow = float(np.max(np.abs(est + 0.4 * 0.7 * np.sum(a**2))))
+    return worst < 1e-6 and flow < 1e-8, (
+        f"naive quadratic max error {worst:.1e} (d = 1, 2, 8); "
+        f"Gaussian-pair flow map max error {flow:.1e}")
 
 
 # --- tilt ---------------------------------------------------------------
@@ -568,7 +590,7 @@ SUITES = {
                 check_flowmap_vs_closed_form, check_k_step_examples],
     "rewards": [check_reward_transport_identity, check_reward_modes_at_one,
                 check_k_step_mode_convergence, check_reward_gradients_fd,
-                check_hutchinson],
+                check_hutchinson, check_coordinate_laplacian],
     "tilt": [check_position_step_example, check_base_dynamics_neutral,
              check_softmax_shift_invariance, check_local_tilt_mean_shift,
              check_expectation_scheme_example, check_simplified_example],

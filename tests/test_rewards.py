@@ -3,8 +3,8 @@ import pytest
 
 from fmtt import (CustomReward, FlowMapEvaluator, GaussianMixture, LinearReward,
                   LogResponsibilityReward, MixturePath, QuadraticReward,
-                  TimeDependentReward, ZeroReward, finite_diff_grad,
-                  hutchinson_laplacian, standard_normal)
+                  TimeDependentReward, ZeroReward, coordinate_laplacian, finite_diff_grad,
+                  gaussian_pair_closed_form, hutchinson_laplacian, standard_normal)
 from fmtt import rewards
 from fmtt.rewards import MODES, STACK_ELEMENTS
 
@@ -255,6 +255,8 @@ def test_hutchinson_validates_inputs():
         hutchinson_laplacian(rt, 0.5, np.zeros((1, 1)), 0)
     with pytest.raises(ValueError):
         hutchinson_laplacian(rt, 0.5, np.zeros((1, 1)), 4, eps=0.0)
+    with pytest.raises(ValueError):
+        coordinate_laplacian(rt, 0.5, np.zeros((1, 1)), eps=0.0)
 
 
 @pytest.mark.parametrize("m_probes", [4.0, True])
@@ -350,6 +352,65 @@ def test_probe_calls_stay_within_the_element_bound(n, d, m):
     per_call = max(1, STACK_ELEMENTS // (2 * n * d))
     assert len(rt.shapes) == -(-m // per_call)
     assert sum(rows for rows, _ in rt.shapes) == 2 * n * m
+    assert all(rows * d <= max(STACK_ELEMENTS, 2 * n * d) for rows, _ in rt.shapes)
+
+
+@pytest.mark.parametrize("d", [1, 2, 8])
+def test_coordinate_laplacian_of_a_quadratic(d):
+    # r_t = -t gamma ||x||^2 / 2 in naive mode: Laplacian -t gamma d everywhere.
+    path = MixturePath(standard_normal(d), standard_normal(d))
+    rt = TimeDependentReward(QuadraticReward(0.7), "naive", path)
+    x = np.random.default_rng(d).normal(scale=2.0, size=(50, d))
+    for t in (0.3, 1.0):
+        est = coordinate_laplacian(rt, t, x)
+        assert np.max(np.abs(est + t * 0.7 * d)) < 1e-6, t
+
+
+def test_coordinate_laplacian_through_the_gaussian_pair_flow_map():
+    # Between single Gaussians the flow map is affine, X_{t,1}(x) = mu(1) +
+    # A (x - mu(t)) with A = L(1) L(t)^{-1}, so r_t = -t gamma ||X_{t,1}||^2 / 2
+    # has the Laplacian -t gamma ||A||_F^2.
+    target = GaussianMixture([1.0], [[1.0, -0.5, 0.3]], [np.diag([0.5, 2.0, 1.5])])
+    path = MixturePath(standard_normal(3), target)
+    rt = TimeDependentReward(QuadraticReward(0.7), "flowmap_exact", path,
+                             FlowMapEvaluator(path, rel_tol=1e-10, abs_tol=1e-12))
+    x = np.random.default_rng(3).normal(size=(8, 3))
+    for t in (0.2, 0.6):
+        a_t = (gaussian_pair_closed_form(path, t, 1.0, np.eye(3))
+               - gaussian_pair_closed_form(path, t, 1.0, np.zeros(3))).T
+        est = coordinate_laplacian(rt, t, x)
+        assert np.max(np.abs(est + t * 0.7 * np.sum(a_t**2))) < 1e-8, t
+
+
+def reference_coordinate_laplacian(rt, t, x, eps):
+    """The coordinate trace with one pair of gradient calls per coordinate."""
+    n, d = x.shape
+    total = np.zeros(n)
+    for i, e in enumerate(np.eye(d)):
+        total += (rt.grad(t, x + eps * e) - rt.grad(t, x - eps * e))[:, i]
+    return total / (2.0 * eps)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("mode", ["naive", "denoiser", "flowmap_ksteps"])
+def test_stacked_coordinates_match_one_coordinate_per_call(mode, d):
+    rt = lookahead_in(mode, d)
+    # All coordinates in one chunk; then one coordinate per chunk.
+    for n in (STACK_ELEMENTS // (2 * d * d), STACK_ELEMENTS // (2 * d) + 1):
+        x = np.random.default_rng(n).normal(scale=1.5, size=(n, d))
+        est = coordinate_laplacian(rt, 0.6, x)
+        assert np.array_equal(est, reference_coordinate_laplacian(rt, 0.6, x, 1e-3))
+
+
+@pytest.mark.parametrize("n, d", [(3, 2), (256, 1), (512, 8), (1000, 3), (STACK_ELEMENTS, 1)])
+def test_coordinate_calls_stay_within_the_element_bound(n, d):
+    rt = CountingLookahead(QuadraticReward(1.0), "naive",
+                           MixturePath(standard_normal(d), standard_normal(d)))
+    x = np.random.default_rng(0).normal(size=(n, d))
+    coordinate_laplacian(rt, 0.5, x)
+    per_call = max(1, STACK_ELEMENTS // (2 * n * d))
+    assert len(rt.shapes) == -(-d // per_call)
+    assert sum(rows for rows, _ in rt.shapes) == 2 * n * d
     assert all(rows * d <= max(STACK_ELEMENTS, 2 * n * d) for rows, _ in rt.shapes)
 
 

@@ -6,7 +6,7 @@ import pytest
 import fmtt.smc
 from fmtt import (ConfigError, CustomReward, DegenerateEnsembleError, FlowMapEvaluator,
                   GaussianMixture, InterpolantSchedule, LinearReward,
-                  LogResponsibilityReward, MixturePath,
+                  LogResponsibilityReward, MixturePath, QuadraticReward,
                   ParticleEnsemble, RunConfig, RunResult, StepInput,
                   TimeDependentReward, ZeroReward, ess, position_step, resample,
                   run, standard_normal, top_n_select, weight_step_ito,
@@ -216,6 +216,25 @@ def test_run_deterministic_per_seed():
     b = run(cfg, path, rt)
     assert np.array_equal(a.ensemble.positions, b.ensemble.positions)
     assert np.array_equal(a.log_z_history, b.log_z_history)
+
+
+def test_laplacian_run_reads_no_probe_setting_and_no_generator(monkeypatch):
+    # The laplacian weights take the exact trace: the probe count and kind
+    # change nothing, and no step builds the weights' generator (channel 2).
+    channels = set()
+
+    def step_rng(seed, step, channel):
+        channels.add(channel)
+        return _step_rng(seed, step, channel)
+    monkeypatch.setattr(fmtt.smc, "_step_rng", step_rng)
+    path = std_path()
+    rt = TimeDependentReward(QuadraticReward(0.5), "naive", path)
+    runs = [run(RunConfig(n_particles=32, n_steps=20, chi="local_tilt",
+                          weight_scheme="laplacian", seed=11, hutchinson=h), path, rt)
+            for h in ({"probes": 4}, {"probes": 64, "probe": "rademacher"})]
+    assert np.array_equal(runs[0].ensemble.logweights, runs[1].ensemble.logweights)
+    assert np.array_equal(runs[0].log_z_history, runs[1].log_z_history)
+    assert 1 in channels and 2 not in channels
 
 
 def test_base_chi_positions_match_zero_reward_bitwise():

@@ -7,7 +7,7 @@ from fmtt import rewards
 from fmtt import (FlowMapEvaluator, GaussianMixture, InterpolantSchedule,
                   LinearReward, LogResponsibilityReward,
                   MixturePath, QuadraticReward, SchemeCompatibilityError, StepInput,
-                  TimeDependentReward, ZeroReward, position_step,
+                  TimeDependentReward, ZeroReward, coordinate_laplacian, position_step,
                   standard_normal, weight_step_expectation, weight_step_ito,
                   weight_step_laplacian, weight_step_simplified)
 from fmtt.mixtures import _logsumexp
@@ -133,8 +133,7 @@ def test_laplacian_zero_reward_noop():
     rt = TimeDependentReward(ZeroReward(), "naive", path)
     inp = step_input(np.array([[1.0]]), np.array([0.7]), 0.3, 0.31, np.zeros((1, 1)), rt, path)
     for chi in ("default", "local_tilt"):
-        out = weight_step_laplacian(inp, chi, rt, path,
-                                    rng=np.random.default_rng(0))
+        out = weight_step_laplacian(inp, chi, rt, path)
         assert out[0] == pytest.approx(0.7, abs=1e-12)
 
 
@@ -145,8 +144,7 @@ def test_laplacian_bracket_matches_symbolic_quadratic():
     gamma, t, dt, xv = 0.8, 0.5, 0.01, 1.3
     rt = TimeDependentReward(QuadraticReward(gamma), "naive", path)
     inp = step_input(np.array([[xv]]), np.zeros(1), t, t + dt, np.zeros((1, 1)), rt, path)
-    out = weight_step_laplacian(inp, "local_tilt", rt, path,
-                                m_probes=400, rng=np.random.default_rng(3))
+    out = weight_step_laplacian(inp, "local_tilt", rt, path)
     d = path.dynamics(t, np.array([[xv]]))
     grad = -gamma * t * xv
     bracket = (float(d.velocity[0, 0]) * grad - 0.5 * gamma * xv * xv
@@ -171,6 +169,35 @@ def test_laplacian_transport_term_is_b_dot_grad_plus_time_derivative(mode):
         b = path.dynamics(t, x).velocity
         expected = np.sum(b * rt.grad(t, x), axis=1) + rt.time_derivative(t, x)
         assert np.max(np.abs(incr - expected)) < 1e-5, (mode, t)
+
+
+def wide_laplacian_step(n=64, d=8):
+    """A step input, look-ahead and path of a naive log-responsibility reward
+    on a 16-component target in d dimensions."""
+    rng = np.random.default_rng(d)
+    target = GaussianMixture.isotropic(np.full(16, 1.0 / 16), 2.0 * rng.normal(size=(16, d)), 0.5)
+    path = MixturePath(standard_normal(d), target, InterpolantSchedule.linear(eta_offset=0.05))
+    rt = TimeDependentReward(LogResponsibilityReward(target, 0, 2.0), "naive", path)
+    x = rng.normal(scale=1.5, size=(n, d))
+    return step_input(x, rng.normal(size=n), 0.4, 0.41, np.zeros_like(x), rt, path), rt, path
+
+
+def reference_laplacian_step(inp, c, lap):
+    """The naive-mode laplacian weight step written out, with the Laplacian lap."""
+    grad, dyn = inp.lookahead.grad, inp.dynamics
+    incr = np.einsum("ni,ni->n", dyn.velocity, grad) + inp.lookahead.terminal
+    incr = incr + c * (np.einsum("ni,ni->n", grad, grad) + lap
+                       + np.einsum("ni,ni->n", grad, dyn.score))
+    return inp.logweight + inp.dt * incr
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-2])
+def test_laplacian_step_takes_the_exact_trace(eps):
+    inp, rt, path = wide_laplacian_step()
+    out = weight_step_laplacian(inp, "local_tilt", rt, path, eps)
+    lap = coordinate_laplacian(rt, inp.t, inp.x, eps)
+    assert np.array_equal(out, reference_laplacian_step(inp, path.schedule.chi("local_tilt", 0.4),
+                                                        lap))
 
 
 def test_ito_noise_free_reduces_to_drift():
