@@ -22,10 +22,15 @@ Both compute the same outputs:
   benchmark workloads (built by `perfbench/workloads.py` of this tree) at
   seeds 7 and 11;
 - a grid of short SMC runs (n = 16, K = 8, 4 expectation samples, seed 7)
-  on the 2-D two-mode target: every look-ahead mode x {simplified (flow-map
-  modes only), laplacian, ito, expectation} weights x chi in {default,
-  local_tilt, base, tilted_score} (simplified: default only), each with its
-  final positions and log-weights, log Z history and log-moments;
+  on the 2-D two-mode target: every look-ahead mode x {simplified
+  (flowmap_exact only), laplacian, ito, expectation} weights x chi in
+  {default, local_tilt, base, tilted_score} (simplified: default only), each
+  with its final positions and log-weights, log Z history and log-moments;
+- one batch of three seeds (7, 11 and 2^63 + 5) per look-ahead mode on the
+  same target (n = 16, K = 8, ito weights, tilted_score chi, ESS
+  resampling), made by `fmtt.run_many` where the tree has it and by one
+  `fmtt.run` per seed otherwise, with each seed's final positions and
+  log-weights, log Z history, log-moments and resampling steps;
 - runs whose Laplacian stencil or expectation samples span several stacked
   look-ahead calls (at the bound of 8,192 elements,
   `fmtt.rewards.STACK_ELEMENTS`), chi local_tilt, K = 8, seed 7, each with
@@ -46,8 +51,9 @@ Both compute the same outputs:
   refine-cli workload's config at smoke size (`perfbench/workloads.py`
   `cli_config`) at seeds 7 and 11, every file that `fmtt search` writes
   for its searching variant (`mode: searching`, 2 clones, selection every 5
-  steps) and every file that `fmtt diagnose --paper-literal` writes for it at
-  `n_runs: 2`, at the same seeds.
+  steps), every file that `fmtt diagnose --paper-literal` writes for it at
+  `n_runs: 2` and every file that `fmtt diagnose` writes for it at
+  `n_runs: 3`, at the same seeds.
 
 Every output is reported as bitwise equal, or with its largest absolute
 difference and that difference relative to the output's largest magnitude
@@ -77,10 +83,12 @@ import numpy as np
 
 REPO = Path(__file__).resolve().parents[1]
 SEEDS = (7, 11)
+BATCH_SEEDS = (7, 11, 2**63 + 5)
 # Output name: (fmtt command, its extra flags).
 CLI_RUNS = {"sample": ("sample", []), "refine": ("refine", []),
             "diagnose": ("diagnose", []), "search": ("search", []),
-            "diagnose-paper-literal": ("diagnose", ["--paper-literal"])}
+            "diagnose-paper-literal": ("diagnose", ["--paper-literal"]),
+            "diagnose-3-runs": ("diagnose", [])}
 KERNEL_TIMES = (0.0, 0.37, 1.0)
 GRID_MODES = ("naive", "denoiser", "flowmap_ksteps", "flowmap_exact")
 GRID_SCHEMES = ("simplified", "laplacian", "ito", "expectation")
@@ -173,7 +181,7 @@ def dump(out: str) -> None:
     for mode in GRID_MODES:
         rt = fmtt.TimeDependentReward(reward, mode, path)
         for scheme in GRID_SCHEMES:
-            if scheme == "simplified" and not rt.is_flowmap():
+            if scheme == "simplified" and mode != "flowmap_exact":
                 continue
             for chi in ("default",) if scheme == "simplified" else GRID_CHIS:
                 cfg = fmtt.RunConfig(n_particles=16, n_steps=8, chi=chi, weight_scheme=scheme,
@@ -184,6 +192,20 @@ def dump(out: str) -> None:
                 arrays[f"{key}/logweights"] = res.ensemble.logweights
                 arrays[f"{key}/log_z_history"] = res.log_z_history
                 arrays[f"{key}/log_moments"] = res.log_moments
+        cfg = fmtt.RunConfig(n_particles=16, n_steps=8, chi="tilted_score",
+                             weight_scheme="ito", seed=7)
+        if hasattr(fmtt, "run_many"):
+            batch = fmtt.run_many(cfg, path, rt, BATCH_SEEDS)
+        else:
+            batch = [fmtt.run(dataclasses.replace(cfg, seed=seed), path, rt)
+                     for seed in BATCH_SEEDS]
+        for seed, res in zip(BATCH_SEEDS, batch):
+            key = f"batch/{mode}/{seed}"
+            arrays[f"{key}/positions"] = res.ensemble.positions
+            arrays[f"{key}/logweights"] = res.ensemble.logweights
+            arrays[f"{key}/log_z_history"] = res.log_z_history
+            arrays[f"{key}/log_moments"] = res.log_moments
+            arrays[f"{key}/resample_steps"] = np.array(res.resample_steps)
         cfg = fmtt.RunConfig(n_particles=16, n_steps=8, clones=2, mode="searching",
                              chi="tilted_score", weight_scheme="ito",
                              resampling={"kind": "every", "r": 2}, seed=7)
@@ -234,10 +256,11 @@ def dump(out: str) -> None:
         text = workloads.cli_config(SIZES["refine-cli"]["smoke"])
         searching = yaml.safe_load(text)
         searching["run"].update(mode="searching", clones=2, resampling={"kind": "every", "r": 5})
-        two_runs = yaml.safe_load(text)
-        two_runs["diagnostics"]["n_runs"] = 2
-        configs = {"search": yaml.safe_dump(searching, sort_keys=False),
-                   "diagnose-paper-literal": yaml.safe_dump(two_runs, sort_keys=False)}
+        configs = {"search": yaml.safe_dump(searching, sort_keys=False)}
+        for name, n_runs in (("diagnose-paper-literal", 2), ("diagnose-3-runs", 3)):
+            runs = yaml.safe_load(text)
+            runs["diagnostics"]["n_runs"] = n_runs
+            configs[name] = yaml.safe_dump(runs, sort_keys=False)
         for name in CLI_RUNS:
             (Path(work) / f"{name}.yaml").write_text(configs.get(name, text))
         for seed in SEEDS:

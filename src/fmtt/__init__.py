@@ -34,7 +34,7 @@ from .rewards import (CustomReward, LinearReward, LogResponsibilityReward,
                       ZeroReward, coordinate_laplacian, hutchinson_laplacian)
 from .schedule import InterpolantSchedule
 from .smc import (ParticleEnsemble, RunConfig, RunResult, ess, resample, run,
-                  top_n_select, weighted_expectation)
+                  run_many, top_n_select, weighted_expectation)
 from .tilt import (StepInput, position_step, weight_step_expectation,
                    weight_step_ito, weight_step_laplacian,
                    weight_step_simplified)

@@ -21,7 +21,7 @@ from . import diagnostics as dg
 from .config import ExperimentConfig
 from .errors import ConfigError, DiagnosticsUndefinedError, FmttError
 from .oracles import snis_tilted_expectation, tilted_mixture
-from .smc import RunResult, _normalized_weights, run
+from .smc import RunResult, _normalized_weights, run, run_many
 from .verify import SUITES, run_suites
 
 
@@ -135,11 +135,10 @@ def _run_seed(seed: int, rnd: int, j: int) -> int:
 
 def _round(cfg: ExperimentConfig, times: np.ndarray, rnd: int):
     """Diagnose round rnd on the knots times: the discrepancy trace of
-    n_runs runs, its barrier profile, the schedule refined from it and the
-    round's summary fields."""
-    results = [run(replace(cfg.run, schedule_times=times,
-                           seed=_run_seed(cfg.run.seed, rnd, j)), cfg.path, cfg.rt)
-               for j in range(cfg.diagnostics["n_runs"])]
+    n_runs runs, made as one batch, its barrier profile, the schedule
+    refined from it and the round's summary fields."""
+    seeds = [_run_seed(cfg.run.seed, rnd, j) for j in range(cfg.diagnostics["n_runs"])]
+    results = run_many(replace(cfg.run, schedule_times=times), cfg.path, cfg.rt, seeds)
     trace = dg.trace_from_runs(results, cfg.run.paper_literal)
     profile = dg.thermodynamic_length(trace)
     refined = dg.refine_schedule(profile, cfg.run.n_steps)

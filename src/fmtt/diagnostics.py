@@ -18,9 +18,10 @@ from .mixtures import _logsumexp
 
 
 def _log_moments(log_w: np.ndarray, log_g: np.ndarray) -> np.ndarray:
-    """log sum_n w_n g_n^i for i = 0, 1, 2, from log w and log g; the i = 0
-    moment is log sum_n w_n whatever g is (0 * log g would be NaN at g = 0)."""
-    return _logsumexp(np.stack([log_w, log_w + log_g, log_w + 2.0 * log_g]), axis=1)
+    """log sum_n w_n g_n^i for i = 0, 1, 2, from log w and log g, summed
+    along the last axis (one run per row); the i = 0 moment is log sum_n w_n
+    whatever g is (0 * log g would be NaN at g = 0)."""
+    return _logsumexp(np.stack([log_w, log_w + log_g, log_w + 2.0 * log_g], axis=-2), axis=-1)
 
 
 def _check_inputs(n: int, log_g_finite) -> None:

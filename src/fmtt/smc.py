@@ -55,15 +55,18 @@ class ParticleEnsemble:
 
 
 def _shifted_weights(logweights: np.ndarray) -> np.ndarray:
-    """exp(a - max a); raises DegenerateEnsembleError naming the particles
-    whose log-weight is NaN or +inf, or when every log-weight is -inf."""
+    """exp(a - max a) along the last axis, whose rows are runs' ensembles;
+    raises DegenerateEnsembleError naming the particles of the first such
+    row whose log-weight is NaN or +inf, or when every log-weight of a row
+    is -inf."""
     a = np.asarray(logweights, dtype=float)
-    m = np.max(a)
-    if not np.isfinite(m):
-        bad = np.flatnonzero(np.isnan(a) | (a == np.inf))
+    m = np.max(a, axis=-1, keepdims=True)
+    if not np.isfinite(m).all():
+        row = a.reshape(-1, a.shape[-1])[np.flatnonzero(~np.isfinite(m))[0]]
+        bad = np.flatnonzero(np.isnan(row) | (row == np.inf))
         if bad.size:
             raise DegenerateEnsembleError(
-                f"{bad.size} of {a.size} log-weights are NaN or +inf "
+                f"{bad.size} of {row.size} log-weights are NaN or +inf "
                 f"(first at particles {bad[:5].tolist()})")
         raise DegenerateEnsembleError("no finite log-weight in the ensemble")
     return np.exp(a - m)
@@ -71,8 +74,15 @@ def _shifted_weights(logweights: np.ndarray) -> np.ndarray:
 
 def ess(logweights: np.ndarray) -> float:
     """Effective sample size (sum w)^2 / sum w^2, computed in log-space."""
+    return float(_ess_rows(np.asarray(logweights, dtype=float)[None])[0])
+
+
+def _ess_rows(logweights: np.ndarray) -> np.ndarray:
+    """`ess` of each row of logweights (runs, n)."""
     w = _shifted_weights(logweights)
-    return float(w.sum() ** 2 / np.sum(w**2))
+    # A float64 scalar's ** 2 rounds otherwise than an array's square in a
+    # few cases in 10,000; `ess` has always taken the scalar's.
+    return np.array([s ** 2 / q for s, q in zip(w.sum(axis=-1), np.sum(w**2, axis=-1))])
 
 
 def _normalized_weights(logweights: np.ndarray) -> np.ndarray:
@@ -233,8 +243,7 @@ class RunConfig:
         for name in ("n_particles", "n_steps", "clones", "expectation_samples"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"run.{name} must be >= 1, got {getattr(self, name)}")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError("seed must be an integer in [0, 2**64)")
+        _seed(self.seed)
         for name, choices in (("mode", ("sampling", "searching")), ("chi", CHI_CHOICES),
                               ("weight_scheme", WEIGHT_SCHEMES),
                               ("resample_method", RESAMPLE_METHODS)):
@@ -276,14 +285,17 @@ class RunConfig:
 
     def check(self, path: MixturePath, rt: TimeDependentReward) -> None:
         """Check the settings against the problem: the reward must read the
-        run's path, simplified weights need a flow-map reward, at every knot
+        run's path, simplified weights need the exact flow map, at every knot
         epsilon (ValueError where negative), chi and the ito coefficient must
         be defined, and a value-only reward is refused at every knot where
         the run reads grad r_t."""
         if rt.path is not None and rt.path is not path:
             raise ConfigError("the reward's look-ahead reads another path than the run's")
-        if self.weight_scheme == "simplified" and not rt.is_flowmap():
-            raise ConfigError("run.weight_scheme simplified needs a flow-map look-ahead")
+        if self.weight_scheme == "simplified" and rt.mode != "flowmap_exact":
+            raise ConfigError(
+                f"run.weight_scheme simplified needs the exact flow-map look-ahead "
+                f"(flowmap_exact), not {rt.mode}; for any look-ahead, laplacian or ito "
+                "weights with run.chi default are exact")
         schedule = path.schedule
         for t in self.times():
             eps = schedule.checked_epsilon(t)
@@ -339,92 +351,153 @@ class RunResult:
 
 def _step_rng(seed: int, step: int, channel: int) -> np.random.Generator:
     """Counter-based generator keyed by (seed, step, channel); thread-safe
-    determinism independent of execution order."""
+    determinism independent of execution order.  The reference for `_keyed`,
+    which the run loop calls."""
     key = np.array([seed, (step << 8) + channel], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
+_ZEROS = np.zeros(4, dtype=np.uint64)
+
+
+def _keyed(gen: np.random.Generator, seed: int, step: int, channel: int) -> np.random.Generator:
+    """gen, its Philox bit generator rekeyed to the state that
+    `_step_rng(seed, step, channel)` starts from: counter 0, key (seed,
+    (step << 8) + channel) and an empty buffer.  ``Philox(key=...)`` first
+    seeds a state from OS entropy, which the key then overwrites."""
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZEROS,
+                  "key": np.array([seed, (step << 8) + channel], dtype=np.uint64)},
+        "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return gen
+
+
+def _seed(value) -> int:
+    """value as a seed, refused as `RunConfig` refuses its ``seed``."""
+    seed = _resolve(value, 0, "seed")
+    if not 0 <= seed < 2**64:
+        raise ConfigError("seed must be an integer in [0, 2**64)")
+    return seed
+
+
 def run(cfg: RunConfig, path: MixturePath, rt: TimeDependentReward) -> RunResult:
-    """Execute the full propagate / reweight / resample-or-select loop.
+    """Execute the full propagate / reweight / resample-or-select loop for
+    ``cfg.seed``: `run_many` with that one seed."""
+    return run_many(cfg, path, rt, [cfg.seed])[0]
+
+
+def run_many(cfg: RunConfig, path: MixturePath, rt: TimeDependentReward,
+             seeds) -> list[RunResult]:
+    """Run cfg once per seed (``cfg.seed`` is not read) as one batch, and
+    return one `RunResult` per seed, each bitwise that of its seed run alone.
+
+    The runs' ensembles are stacked, one block of rows per run, for the
+    dynamics, the position step, the look-ahead and the weight step, so a
+    step makes each of those calls once for all the runs.  Each run keeps
+    its own random streams (the initial draw, the noise, the expectation
+    weights' samples and resampling), ESS trigger, resampling or selection,
+    log Z, log-moments and histories.  The bitwise rule holds where the
+    look-ahead computes each row apart from its batch: naive, denoiser and
+    k-step.  scipy's RK45 sets one step size for its whole batch, so the
+    ``flowmap_exact`` runs step one seed at a time through the same loop.
 
     The look-ahead of each state is evaluated once, right after the state is
     reached: the next step's position and weight updates, the trace's mean
     reward and the search scores all read that record, which resampling and
     selection gather along with the states.
     """
+    seeds = [_seed(s) for s in seeds]
+    if not seeds:
+        raise ValueError("run_many needs at least one seed")
+    # RK45 sets one step size for its whole batch, which would couple the runs.
+    if rt.mode == "flowmap_exact" and len(seeds) > 1:
+        return [run_many(cfg, path, rt, [s])[0] for s in seeds]
     cfg.check(path, rt)
     ts = cfg.times()
     sched, chi = path.schedule, cfg.chi
     n, c = cfg.n_particles, cfg.clones
-    total = n * c
+    runs, block = len(seeds), n * c
     d = path.dim
+    blocks = [slice(r * block, (r + 1) * block) for r in range(runs)]
+    gens = [np.random.Generator(np.random.Philox(0)) for _ in seeds]
 
-    init_rng = _step_rng(cfg.seed, 0, 0)
-    x0 = path.base.sample(n, init_rng)
-    ens = ParticleEnsemble(np.repeat(x0, c, axis=0), np.zeros(total), n, c)
-    look = rt.lookahead_value_and_grad(ts[0], ens.positions, cfg.reads_grad(sched, ts[0]))
+    def streams(step: int, channel: int) -> list[np.random.Generator]:
+        return [_keyed(g, s, step, channel) for g, s in zip(gens, seeds)]
+
+    x = np.concatenate([np.repeat(path.base.sample(n, g), c, axis=0)
+                        for g in streams(0, 0)])
+    lw = np.zeros(runs * block)
+    look = rt.lookahead_value_and_grad(ts[0], x, cfg.reads_grad(sched, ts[0]))
 
     K = cfg.n_steps
-    ess_hist = np.empty(K)
-    log_z_hist = np.empty(K)
-    mean_r_hist = np.empty(K)
-    log_moments = np.empty((K, 3))
-    log_g_finite = np.empty(K, dtype=bool)
-    resample_steps: list[int] = []
-    resample_log_means: list[float] = []
-    log_z_events = 0.0
+    ess_hist = np.empty((runs, K))
+    log_z_hist = np.empty((runs, K))
+    mean_r_hist = np.empty((runs, K))
+    log_moments = np.empty((runs, K, 3))
+    log_g_finite = np.empty((runs, K), dtype=bool)
+    resample_steps: list[list[int]] = [[] for _ in seeds]
+    resample_log_means: list[list[float]] = [[] for _ in seeds]
+    log_z_events = np.zeros(runs)
 
     spec = cfg.resampling
     kind = spec["kind"]
 
     for k in range(1, K + 1):
         t, t_next = ts[k - 1], ts[k]
-        noise = _step_rng(cfg.seed, k, 1).standard_normal((total, d))
-        inp = StepInput(ens.positions, ens.logweights, t, t_next, noise,
-                        look, path.dynamics(t, ens.positions))
-        x_next = position_step(inp, chi, path)
-        look = rt.lookahead_value_and_grad(t_next, x_next, cfg.reads_grad(sched, t_next))
+        noise = np.concatenate([g.standard_normal((block, d)) for g in streams(k, 1)])
+        inp = StepInput(x, lw, t, t_next, noise, look, path.dynamics(t, x))
+        x = position_step(inp, chi, path)
+        look = rt.lookahead_value_and_grad(t_next, x, cfg.reads_grad(sched, t_next))
 
         if cfg.weight_scheme == "simplified":
-            a_next = weight_step_simplified(inp, rt)
+            lw = weight_step_simplified(inp, rt)
         elif cfg.weight_scheme == "laplacian":
-            a_next = weight_step_laplacian(inp, chi, rt, path, cfg.hutchinson["eps"])
+            lw = weight_step_laplacian(inp, chi, rt, path, cfg.hutchinson["eps"])
         elif cfg.weight_scheme == "ito":
-            a_next = weight_step_ito(inp, chi, rt, path, look)
+            lw = weight_step_ito(inp, chi, rt, path, look)
         else:
-            a_next = weight_step_expectation(
-                inp, chi, rt, path, cfg.expectation_samples,
-                _step_rng(cfg.seed, k, 2), cfg.paper_literal)
+            lw = weight_step_expectation(inp, chi, rt, path, cfg.expectation_samples,
+                                         streams(k, 2), cfg.paper_literal)
 
-        log_g = a_next - ens.logweights
-        log_moments[k - 1] = _log_moments(ens.logweights, log_g)
-        log_g_finite[k - 1] = np.isfinite(log_g).all()
-        ens = ParticleEnsemble(x_next, a_next, n, c)
-
-        ess_hist[k - 1] = ess(ens.logweights)
-        log_mean_w = float(_logsumexp(ens.logweights) - np.log(total))
-        log_z_hist[k - 1] = log_z_events + log_mean_w if cfg.mode == "sampling" else np.nan
-        mean_r_hist[k - 1] = float(np.mean(look.value))
+        # Per-run reductions, one call each on the (runs, block) views.
+        w_prev, w = inp.logweight.reshape(runs, block), lw.reshape(runs, block)
+        log_g = w - w_prev
+        log_moments[:, k - 1] = _log_moments(w_prev, log_g)
+        log_g_finite[:, k - 1] = np.isfinite(log_g).all(axis=1)
+        ess_hist[:, k - 1] = _ess_rows(w)
+        log_mean_w = _logsumexp(w, axis=1) - np.log(block)
+        log_z_hist[:, k - 1] = log_z_events + log_mean_w if cfg.mode == "sampling" else np.nan
+        mean_r_hist[:, k - 1] = look.value.reshape(runs, block).mean(axis=1)
 
         if k == K:
             break
         if kind == "never":
-            trigger = False
-        elif kind == "ess":
-            trigger = ess_hist[k - 1] < spec["threshold"] * total
+            continue
+        if kind == "ess":
+            triggered = np.flatnonzero(ess_hist[:, k - 1] < spec["threshold"] * block)
         elif kind == "every":
-            trigger = k % spec["r"] == 0
+            triggered = range(runs) if k % spec["r"] == 0 else ()
         else:
-            trigger = k in spec["steps"]
-        if trigger:
-            resample_steps.append(k)
-            resample_log_means.append(log_mean_w)
+            triggered = range(runs) if k in spec["steps"] else ()
+        if len(triggered) == 0:
+            continue
+        ancestors = np.arange(runs * block)
+        for r in triggered:
+            rows = blocks[r]
+            ens = ParticleEnsemble(x[rows], lw[rows], n, c)
+            resample_steps[r].append(k)
+            resample_log_means[r].append(float(log_mean_w[r]))
             if cfg.mode == "sampling":
-                log_z_events += log_mean_w
-                ens = resample(ens, _step_rng(cfg.seed, k, 3), cfg.resample_method)
+                log_z_events[r] += log_mean_w[r]
+                ens = resample(ens, _keyed(gens[r], seeds[r], k, 3), cfg.resample_method)
             else:
-                ens = top_n_select(ens, look.value, n)
-            look = look.take(ens.ancestors)
+                ens = top_n_select(ens, look.value[rows], n)
+            x[rows], lw[rows] = ens.positions, ens.logweights
+            ancestors[rows] = ens.ancestors + r * block
+        look = look.take(ancestors)
 
-    return RunResult(ens, ts, ess_hist, resample_steps, resample_log_means,
-                     log_z_hist, mean_r_hist, log_moments, log_g_finite, cfg.mode)
+    return [RunResult(ParticleEnsemble(x[rows], lw[rows], n, c), ts, ess_hist[r],
+                      resample_steps[r], resample_log_means[r], log_z_hist[r],
+                      mean_r_hist[r], log_moments[r], log_g_finite[r], cfg.mode)
+            for r, rows in enumerate(blocks)]

@@ -13,6 +13,7 @@ inner-expectation update.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,11 +86,14 @@ def position_step(inp: StepInput, chi: str, path: MixturePath) -> np.ndarray:
 def weight_step_simplified(inp: StepInput, rt: TimeDependentReward) -> np.ndarray:
     """Log-weight update A' = A + dt * r(endpoint prediction at time t).
 
-    Valid for chi = 0 with a flow-map look-ahead reward; the update is well
-    defined at t = 0 (no division by t).
+    Valid for chi = 0 with the exact flow-map look-ahead reward, whose
+    endpoint is transported by b; a k-step map's is not, and the weights
+    then converge to another target.  The update is well defined at t = 0
+    (no division by t).
     """
-    if not rt.is_flowmap():
-        raise SchemeCompatibilityError("simplified weights require a flow-map look-ahead reward")
+    if rt.mode != "flowmap_exact":
+        raise SchemeCompatibilityError(
+            f"simplified weights require the exact flow-map look-ahead, not {rt.mode}")
     return inp.logweight + inp.dt * inp.lookahead.terminal
 
 
@@ -167,7 +171,7 @@ def weight_step_ito(inp: StepInput, chi: str, rt: TimeDependentReward,
 
 def weight_step_expectation(inp: StepInput, chi: str, rt: TimeDependentReward,
                             path: MixturePath, m_samples: int = 16,
-                            rng: np.random.Generator | None = None,
+                            rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
                             paper_literal: bool = False) -> np.ndarray:
     """Log-weight update from an inner expectation of exp(reward increments).
 
@@ -176,22 +180,32 @@ def weight_step_expectation(inp: StepInput, chi: str, rt: TimeDependentReward,
     A' = A + 2*[r_{t'}(x + dt b) - r_t(x)] - log g for chi < 0.  At chi = 0
     both branches degenerate to the noise-free A' = A + r_{t'}(y) - r_t(x).
 
+    ``rng`` is one generator, or one per run when the rows stack several
+    runs' ensembles in equal blocks: each block's samples come from its own
+    run's generator, as when the run steps alone.
+
     ``paper_literal`` uses g itself (no log) as the additive increment,
     reproducing a multiplicative-form variant of the update.
     """
     _check_count(m_samples, "m_samples")
+    rngs = list(rng) if isinstance(rng, Sequence) else [rng or np.random.default_rng()]
+    block, rest = divmod(inp.x.shape[0], len(rngs))
+    if rest or not block:
+        raise ValueError(f"{inp.x.shape[0]} states do not split into {len(rngs)} runs")
     c = path.schedule.chi(chi, inp.t)
     dyn, r_here = inp.dynamics, inp.lookahead.value
     if c <= 0.0:
         drift_only = rt.value(inp.t_next, inp.x + inp.dt * dyn.velocity) - r_here
         if c == 0.0:
             return inp.logweight + drift_only
-    rng = rng or np.random.default_rng()
     mean_drifted = inp.x + inp.dt * (dyn.velocity + abs(c) * dyn.score)
     scale = np.sqrt(2.0 * abs(c) * inp.dt)
+
+    def draw(_, shape):
+        k, _, d = shape
+        return np.concatenate([g.standard_normal((k, block, d)) for g in rngs], axis=1)
     values = [v[:, 0] for _, v in _stacked_samples(lambda y: rt.value(inp.t_next, y),
-                                                   mean_drifted, (scale,), m_samples,
-                                                   lambda _, shape: rng.standard_normal(shape))]
+                                                   mean_drifted, (scale,), m_samples, draw)]
     deltas = np.concatenate(values) - r_here
     log_g = _logsumexp(deltas) - np.log(m_samples)
     tail = np.exp(log_g) if paper_literal else log_g

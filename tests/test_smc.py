@@ -12,7 +12,7 @@ from fmtt import (ConfigError, CustomReward, DegenerateEnsembleError, FlowMapEva
                   run, standard_normal, top_n_select, weight_step_ito,
                   weight_step_laplacian, weighted_expectation)
 from fmtt.schedule import CHI_CHOICES
-from fmtt.smc import _step_rng
+from fmtt.smc import _ess_rows, _keyed, _step_rng
 from fmtt.tilt import WEIGHT_SCHEMES
 
 
@@ -47,6 +47,16 @@ def test_nan_log_weight_is_named_not_called_degenerate():
         ess(np.append(one_nan, np.inf))
 
 
+def test_batch_weights_name_the_particles_of_the_failing_run():
+    logw = np.zeros((3, 4))
+    logw[1, 2] = np.nan
+    with pytest.raises(DegenerateEnsembleError, match=r"1 of 4 .*particles \[2\]"):
+        _ess_rows(logw)
+    logw[1] = -np.inf
+    with pytest.raises(DegenerateEnsembleError, match="no finite log-weight"):
+        _ess_rows(logw)
+
+
 def test_negative_epsilon_rejected_before_the_first_step():
     sched = InterpolantSchedule(epsilon=lambda t: -t, eta_offset=0.05)
     path = MixturePath(standard_normal(1), standard_normal(1), sched)
@@ -65,6 +75,18 @@ def test_tilted_score_schedule_rejected_before_the_first_step(schedule, scheme):
     with pytest.raises(ConfigError, match="chi tilted_score"):
         run(RunConfig(n_particles=8, n_steps=10, chi="tilted_score",
                       weight_scheme=scheme, seed=0), path, rt)
+
+
+def test_ess_of_each_run_is_the_scalar_formula_bitwise():
+    # The batched loop takes every run's ESS in one call; a float64 scalar's
+    # ** 2 rounds otherwise than an array's square in 4 of these rows.
+    logw = np.random.default_rng(0).normal(scale=2.0, size=(10_000, 64))
+    want = []
+    for a in logw:
+        w = np.exp(a - a.max())
+        want.append(float(w.sum() ** 2 / np.sum(w**2)))
+    assert np.array_equal(_ess_rows(logw), want)
+    assert ess(logw[0]) == want[0]
 
 
 def test_ess_shift_invariant():
@@ -223,10 +245,10 @@ def test_laplacian_run_reads_no_probe_setting_and_no_generator(monkeypatch):
     # change nothing, and no step builds the weights' generator (channel 2).
     channels = set()
 
-    def step_rng(seed, step, channel):
+    def keyed(gen, seed, step, channel):
         channels.add(channel)
-        return _step_rng(seed, step, channel)
-    monkeypatch.setattr(fmtt.smc, "_step_rng", step_rng)
+        return _keyed(gen, seed, step, channel)
+    monkeypatch.setattr(fmtt.smc, "_keyed", keyed)
     path = std_path()
     rt = TimeDependentReward(QuadraticReward(0.5), "naive", path)
     runs = [run(RunConfig(n_particles=32, n_steps=20, chi="local_tilt",
@@ -327,6 +349,20 @@ def test_config_validation_errors():
 def test_seeds_above_2_to_the_63_keep_their_low_bits():
     draws = [_step_rng(seed, 1, 1).standard_normal(4) for seed in (2**63, 2**63 + 1)]
     assert not np.array_equal(*draws)
+
+
+def test_rekeyed_streams_are_the_reference_streams():
+    # One generator per run, rekeyed for each draw, gives the stream of a
+    # generator built from the key, whatever it drew before.
+    gen = np.random.Generator(np.random.Philox(0))
+    for seed in (0, 7, 2**63 - 1, 2**63, 2**63 + 5, 2**64 - 1):
+        for step in (0, 1, 2, 255, 256, 10_000):
+            for channel in range(4):
+                want = _step_rng(seed, step, channel)
+                got = _keyed(gen, seed, step, channel)
+                assert np.array_equal(got.standard_normal(7), want.standard_normal(7))
+                assert np.array_equal(got.random(3), want.random(3))
+                assert got.integers(2**32) == want.integers(2**32)
 
 
 def test_schedule_times_are_honored():

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from fmtt import rewards
-from fmtt import (FlowMapEvaluator, GaussianMixture, InterpolantSchedule,
-                  LinearReward, LogResponsibilityReward,
-                  MixturePath, QuadraticReward, SchemeCompatibilityError, StepInput,
+from fmtt import (ConfigError, FlowMapEvaluator, GaussianMixture, InterpolantSchedule,
+                  LinearReward, LogResponsibilityReward, MixturePath, QuadraticReward,
+                  RunConfig, SchemeCompatibilityError, StepInput,
                   TimeDependentReward, ZeroReward, coordinate_laplacian, position_step,
                   standard_normal, weight_step_expectation, weight_step_ito,
                   weight_step_laplacian, weight_step_simplified)
@@ -97,12 +97,17 @@ def test_base_chi_matches_reward_free_bitwise():
 
 
 def test_simplified_requires_flowmap_mode():
+    # Only the exact map's endpoint is transported by b: with a k-step map
+    # the simplified weights converge to another target.
     path = std_path()
-    rt = TimeDependentReward(LinearReward([1.0]), "naive", path)
-    inp = step_input(np.zeros((1, 1)), np.zeros(1), 0.0, 0.1, np.zeros((1, 1)), rt, path,
-                     grad=False)
-    with pytest.raises(SchemeCompatibilityError):
-        weight_step_simplified(inp, rt)
+    for mode in ("naive", "flowmap_ksteps"):
+        rt = TimeDependentReward(LinearReward([1.0]), mode, path)
+        inp = step_input(np.zeros((1, 1)), np.zeros(1), 0.0, 0.1, np.zeros((1, 1)), rt, path,
+                         grad=False)
+        with pytest.raises(SchemeCompatibilityError, match=mode):
+            weight_step_simplified(inp, rt)
+        with pytest.raises(ConfigError, match="laplacian or ito weights with run.chi default"):
+            RunConfig(weight_scheme="simplified").check(path, rt)
 
 
 def test_simplified_examples():
@@ -398,6 +403,26 @@ def test_stacked_samples_match_one_sample_per_call(mode):
             out = weight_step_expectation(inp, chi, rt, path, m, np.random.default_rng(7))
             ref = reference_expectation(inp, chi, rt, path, m, np.random.default_rng(7))
             assert np.array_equal(out, ref)
+
+
+@pytest.mark.parametrize("mode", ["naive", "denoiser", "flowmap_ksteps"])
+def test_each_run_block_draws_its_samples_from_its_own_generator(mode):
+    # Three runs' ensembles of 1,024 rows stacked: one sample per chunk,
+    # where each run alone takes its 6 samples in chunks of 4 and 2.
+    rt, path = two_mode_lookahead(mode)
+    n, seeds = 1024, (1, 2, 3)
+    x = np.random.default_rng(10).normal(scale=2.0, size=(n * len(seeds), 2))
+
+    def step(rows, rng):
+        inp = step_input(x[rows], np.zeros(len(x[rows])), 0.4, 0.42, np.zeros_like(x[rows]),
+                         rt, path, grad=False)
+        return weight_step_expectation(inp, "local_tilt", rt, path, 6, rng)
+    stacked = step(slice(None), [np.random.default_rng(s) for s in seeds])
+    alone = [step(slice(i * n, (i + 1) * n), np.random.default_rng(s))
+             for i, s in enumerate(seeds)]
+    assert np.array_equal(stacked, np.concatenate(alone))
+    with pytest.raises(ValueError, match="3072 states do not split into 5 runs"):
+        step(slice(None), [np.random.default_rng(0)] * 5)
 
 
 def test_stacked_samples_match_one_sample_per_call_with_the_exact_map(monkeypatch):
